@@ -743,14 +743,8 @@ let check_intent ctx snap =
                   "member %d records meeting %d instead" pid p.C.pv_meeting)
         mv.C.cmv_members;
       List.iter
-        (fun (idx, agent_mid) ->
+        (fun idx ->
           if dead idx then ()
-          else if agent_mid < 0 then
-            errf ctx Controller Intent_drift
-              (Printf.sprintf "sw%d/meeting:%d" idx mv.C.cmv_mid)
-              "site still carries provisional agent meeting id %d though the switch is \
-               not Dead"
-              agent_mid
           else
           match List.find_opt (fun sw -> sw.sw_index = idx) snap.snap_switches with
           | None ->
@@ -761,13 +755,13 @@ let check_intent ctx snap =
               let subj = Printf.sprintf "sw%d/meeting:%d" idx mv.C.cmv_mid in
               match
                 List.find_opt
-                  (fun (am : A.meeting_view) -> am.A.amv_id = agent_mid)
+                  (fun (am : A.meeting_view) -> am.A.amv_id = mv.C.cmv_mid)
                   sw.sw_agent_meetings
               with
               | None ->
                   errf ctx Agent Intent_drift subj
                     "controller intends agent meeting %d; the agent has no such meeting"
-                    agent_mid
+                    mv.C.cmv_mid
               | Some am ->
                   let expected_members =
                     List.filter_map
@@ -865,9 +859,7 @@ let check_intent ctx snap =
           let referenced =
             List.exists
               (fun (mv : C.meeting_view) ->
-                List.exists
-                  (fun (idx, amid) -> idx = sw.sw_index && amid = am.A.amv_id)
-                  mv.C.cmv_sites)
+                mv.C.cmv_mid = am.A.amv_id && List.mem sw.sw_index mv.C.cmv_sites)
               intent.C.in_meetings
           in
           if not referenced then

@@ -30,15 +30,6 @@ type participant = {
   mutable screen_recv_conns : (participant_id * Client.connection) list;
 }
 
-(* A meeting's presence on one switch. All session mutation flows to the
-   switch agent through the control-plane RPC client for that switch
-   index — never by calling agent functions directly. *)
-type site = {
-  s_idx : int;  (** switch index, selects the RPC client *)
-  dp : Dataplane.t;
-  agent_mid : Switch_agent.meeting_id;
-}
-
 (* Everything needed to re-issue one Register_leg verbatim during a
    resync. Recorded at leg creation because the values (allocated SFU
    ports, the receiver connection's address) exist nowhere else in
@@ -54,10 +45,14 @@ type leg_intent = {
   li_adaptive : bool;
 }
 
+(* All session mutation flows to a switch agent through the control-plane
+   RPC client for that switch index — never by calling agent functions
+   directly. The agent holds the meeting under the controller's own
+   [mid]. *)
 type meeting = {
   mid : meeting_id;
   primary : int;  (** default home switch for joiners *)
-  sites : (int, site) Hashtbl.t;
+  mutable sites : int list;  (** switches the meeting is brought up on *)
   mutable members : participant_id list;
   mutable leg_intents : leg_intent list;  (** creation order *)
   mutable pair_targets : ((participant_id * participant_id) * Av1.Dd.decode_target) list;
@@ -99,23 +94,6 @@ type recovery_event = {
   re_ops : int;  (** RPCs it took *)
 }
 
-type deferred_op = {
-  d_mid : meeting_id;
-  d_build : agent_mid:int -> Rpc.request;
-      (** closes over everything but the agent-side meeting id, which may
-          still be provisional at queue time *)
-}
-
-(* One wire op waiting in a per-agent batch buffer (batched mode only).
-   Same shape as a deferred op — and for the same reason: the agent-side
-   meeting id is resolved at flush time, not at buffering time, so a
-   buffered op can be pushed onto the deferred queue unchanged when the
-   flush hits a dead channel. *)
-type buffered_op = {
-  b_mid : meeting_id;
-  b_build : agent_mid:int -> Rpc.request;
-}
-
 type agent_state = {
   mutable ah : agent_health;
   mutable ah_epoch : int;  (** last epoch seen in a Pong; -1 before the first *)
@@ -126,7 +104,7 @@ type agent_state = {
       (** latest epoch any pong carried, tracked even while a heal is in
           flight — a change mid-resync means the agent rebooted under the
           replay and the resync must abort *)
-  ah_deferred : deferred_op Queue.t;
+  ah_deferred : Rpc.request Queue.t;
   mutable ah_dropped : int;  (** ops lost to the cap since the last replay *)
   ah_gauge : Metrics.gauge;
   ah_transitions : Metrics.counter array;
@@ -136,8 +114,11 @@ type agent_state = {
 }
 
 type health_state = {
-  hc : health_config;
+  mutable hc : health_config;
   hs_agents : agent_state array;
+  mutable hs_started : bool;
+      (** {!start_health} was called at least once: from then on a failed
+          op marks its switch Dead and is deferred instead of raising *)
   mutable hs_running : bool;
   hb_sent : Metrics.counter;
   hb_missed : Metrics.counter;
@@ -185,7 +166,6 @@ type persisted = {
   ps_next_pid : int;
   ps_next_sfu_port : int;
   ps_next_egress_port : int;
-  ps_next_provisional : int;
 }
 
 type t = {
@@ -206,10 +186,9 @@ type t = {
   mutable next_sfu_port : int;
   mutable next_egress_port : int;
   mutable sdp_messages : int;
-  mutable health : health_state option;  (** None until {!start_health} *)
-  mutable next_provisional : int;  (** provisional agent meeting ids, < -1 *)
-  batch : bool;  (** buffer session mutations and flush them as [Rpc.Batch]es *)
-  buffers : buffered_op Queue.t array;  (** per-agent batch buffer (FIFO) *)
+  health : health_state;
+  batch : bool;  (** flush wire ops at operation boundaries, not after each op *)
+  buffers : Rpc.request Queue.t array;  (** per-agent wire-op buffer (FIFO) *)
   flushing : bool array;  (** per-agent reentrancy guard around a flush *)
   journal : persisted Journal.t option;  (** None = cluster of one *)
   mutable role : role;
@@ -227,6 +206,63 @@ type t = {
 let controller_ip = Addr.ip_of_string "10.255.0.1"
 let control_port = 6633
 
+let health_rank = function Healthy -> 0 | Suspect -> 1 | Dead -> 2
+let health_name = function Healthy -> "healthy" | Suspect -> "suspect" | Dead -> "dead"
+
+(* The default instance keeps the historic metric labels; extra
+   instances prefix theirs so a standby's series never displace the
+   primary's in the registry. *)
+let switch_label label idx =
+  if label = "ctl" then Printf.sprintf "sw%d" idx else Printf.sprintf "%s-sw%d" label idx
+
+(* Detector state exists from [create] on, idle until {!start_health}. *)
+let create_health ~label n =
+  let instance = if label = "ctl" then [] else [ ("ctrl", label) ] in
+  let counter help name = Metrics.counter ~labels:instance ~help name in
+  let agent idx =
+    let labels = [ ("agent", switch_label label idx) ] in
+    {
+      ah = Healthy;
+      ah_epoch = -1;
+      ah_missed = 0;
+      ah_detected_ns = 0;
+      ah_healing = false;
+      ah_observed = -1;
+      ah_deferred = Queue.create ();
+      ah_dropped = 0;
+      ah_gauge =
+        Metrics.gauge ~labels
+          ~help:"Failure-detector state (0 healthy, 1 suspect, 2 dead)"
+          "scallop_ctrl_agent_state";
+      ah_transitions =
+        [| Healthy; Suspect; Dead |]
+        |> Array.map (fun st ->
+               Metrics.counter
+                 ~labels:(("to", health_name st) :: labels)
+                 ~help:"Failure-detector state transitions"
+                 "scallop_ctrl_health_transitions");
+    }
+  in
+  {
+    hc = default_health_config;
+    hs_agents = Array.init n agent;
+    hs_started = false;
+    hs_running = false;
+    hb_sent = counter "Heartbeat probes sent" "scallop_ctrl_heartbeat_sent";
+    hb_missed = counter "Heartbeat probes that timed out" "scallop_ctrl_heartbeat_missed";
+    hs_resync_full = counter "Full intent replays onto a switch" "scallop_ctrl_resync_full";
+    hs_repair_ops =
+      counter "RPCs issued by resyncs and deferred-queue drains"
+        "scallop_ctrl_resync_repair_ops";
+    hs_deferred =
+      Metrics.gauge ~labels:instance ~help:"Ops currently queued for Dead switches"
+        "scallop_ctrl_deferred_ops";
+    hs_recovery = [];
+    hs_recovery_dropped =
+      counter "Recovery events evicted from the bounded log"
+        "scallop_ctrl_recovery_log_dropped";
+  }
+
 let create engine network rng ~agents ?(control = Rpc_transport.default)
     ?(batch = false) ?journal ?(standby = false) ?(label = "ctl")
     ?(ip = controller_ip) () =
@@ -237,15 +273,8 @@ let create engine network rng ~agents ?(control = Rpc_transport.default)
   let rpcs =
     Array.mapi
       (fun idx (agent, dp) ->
-        (* the default instance keeps the historic per-switch metric
-           label; extra instances prefix theirs so a standby's clients
-           never displace the primary's series in the registry *)
-        let rpc_label =
-          if label = "ctl" then Printf.sprintf "sw%d" idx
-          else Printf.sprintf "%s-sw%d" label idx
-        in
         Rpc_transport.Client.connect engine (Rng.split rng) ~config:control
-          ~label:rpc_label
+          ~label:(switch_label label idx)
           ~local:(Addr.v ip (control_port + idx))
           ~remote:(Addr.v (Dataplane.ip dp) control_port)
           (Switch_agent.rpc_server agent))
@@ -269,8 +298,7 @@ let create engine network rng ~agents ?(control = Rpc_transport.default)
       next_sfu_port = 40_000;
       next_egress_port = 1;
       sdp_messages = 0;
-      health = None;
-      next_provisional = -2;
+      health = create_health ~label (Array.length agents);
       batch;
       buffers = Array.map (fun _ -> Queue.create ()) agents;
       flushing = Array.map (fun _ -> false) agents;
@@ -327,7 +355,7 @@ let create_meeting_exec t =
   let mid = t.next_meeting in
   t.next_meeting <- mid + 1;
   Hashtbl.replace t.meetings mid
-    { mid; primary; sites = Hashtbl.create 2; members = []; leg_intents = []; pair_targets = [] };
+    { mid; primary; sites = []; members = []; leg_intents = []; pair_targets = [] };
   mid
 
 let find_meeting t mid =
@@ -339,6 +367,10 @@ let find_participant t pid =
   match Hashtbl.find_opt t.participants pid with
   | Some p -> p
   | None -> invalid_arg "Controller: unknown participant"
+
+let check_switch fn t idx =
+  if idx < 0 || idx >= Array.length t.agents then
+    invalid_arg (Printf.sprintf "Controller.%s: no switch %d" fn idx)
 
 (* --- fencing ---------------------------------------------------------------
 
@@ -355,7 +387,7 @@ let depose t ~fence =
     t.role <- Deposed;
     (* the deposed primary's heartbeats stop; the new acting instance
        runs its own detector *)
-    (match t.health with Some h -> h.hs_running <- false | None -> ());
+    t.health.hs_running <- false;
     if Trace.enabled Trace.Rpc then
       Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "ctrl_deposed"
         ~args:[ ctrl_arg t; ("fence", Trace.I fence) ]
@@ -410,18 +442,15 @@ let create_meeting t =
 (* --- control-plane RPC ------------------------------------------------------
 
    Every agent operation is a typed message shipped over that switch's
-   control channel; the call blocks (in virtual time) until the agent's
-   reply lands. An [Error] reply surfaces as [Invalid_argument]. A dead
-   channel depends on whether health tracking runs: with it, the agent
-   is marked Dead and the op is queued for the heal/restart replay;
-   without it (the pre-failure-detector contract), the transport error
-   surfaces as [Rpc_transport.Timed_out]. *)
-
-let health_rank = function Healthy -> 0 | Suspect -> 1 | Dead -> 2
-let health_name = function Healthy -> "healthy" | Suspect -> "suspect" | Dead -> "dead"
-
-let is_dead t idx =
-  match t.health with Some h -> h.hs_agents.(idx).ah = Dead | None -> false
+   control channel. There is one wire path: {!push_op} appends the op to
+   the switch's buffer, and {!flush_agent} ships the buffer in a single
+   blocking (in virtual time) call — a bare request for one op, an
+   [Rpc.Batch] for several. Per-op mode flushes after every op; batched
+   mode flushes at the end of each public operation ({!flush_buffers}).
+   A failed op either raises ([Rpc_transport.Timed_out] for a dead
+   channel, [Invalid_argument] for an [Error] reply) or, once the failure
+   detector has been started, marks the switch Dead and is queued for
+   the heal ({!agent_failed} is where the two contracts part). *)
 
 (* A switch mid-heal must not take new direct ops either: the resync or
    drain in flight is replaying controller intent, and a straddling
@@ -431,34 +460,37 @@ let is_dead t idx =
    heal is in flight are deferred like ops for a dead switch; a
    successful resync then discards them as covered by the replayed
    intent, and a drain re-issues them in order. *)
-let is_healing t idx =
-  match t.health with Some h -> h.hs_agents.(idx).ah_healing | None -> false
+let unavailable t idx =
+  let a = t.health.hs_agents.(idx) in
+  a.ah = Dead || a.ah_healing
 
-let unavailable t idx = is_dead t idx || is_healing t idx
-
-let set_agent_health h idx st =
-  let a = h.hs_agents.(idx) in
+let set_agent_health t idx st =
+  let a = t.health.hs_agents.(idx) in
   if a.ah <> st then Metrics.incr a.ah_transitions.(health_rank st);
   a.ah <- st;
   Metrics.set a.ah_gauge (float_of_int (health_rank st))
 
-let refresh_deferred_gauge h =
+let refresh_deferred_gauge t =
+  let h = t.health in
   let depth =
     Array.fold_left (fun acc a -> acc + Queue.length a.ah_deferred) 0 h.hs_agents
   in
   Metrics.set h.hs_deferred (float_of_int depth)
 
-let mark_dead t h idx =
-  let a = h.hs_agents.(idx) in
+let mark_dead t idx =
+  let a = t.health.hs_agents.(idx) in
   if a.ah <> Dead then begin
     a.ah_detected_ns <- Engine.now t.engine;
-    set_agent_health h idx Dead;
+    set_agent_health t idx Dead;
     if Trace.enabled Trace.Rpc then
       Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "agent_dead"
         ~args:[ ctrl_arg t; ("agent", Trace.I idx) ]
   end
 
-let push_deferred t h idx op =
+(* An op that failed (or found its switch unavailable) waits here for
+   the heal. *)
+let push_deferred t idx op =
+  let h = t.health in
   let a = h.hs_agents.(idx) in
   Queue.push op a.ah_deferred;
   let overflowed = Queue.length a.ah_deferred > h.hc.deferred_cap in
@@ -480,36 +512,25 @@ let push_deferred t h idx op =
       Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "defer_drop"
         ~args:[ ctrl_arg t; ("agent", Trace.I idx) ]
   end;
-  refresh_deferred_gauge h
+  refresh_deferred_gauge t
+
+(* Switch [idx] failed an op: a dead channel, or an [Error] reply from an
+   agent that should know the state we installed — it answered from a
+   fresh boot (a restart raced an in-flight call, so we saw the reply
+   before any Pong carried the new epoch) or has otherwise drifted.
+   Before the detector was ever started, [raise_] surfaces the failure;
+   after, the switch is declared Dead and the caller keeps the op — the
+   next heartbeat decides between a drain and a full replay. *)
+let agent_failed t idx ~raise_ =
+  if t.health.hs_started then mark_dead t idx else raise_ ()
 
 let raise_timed_out req err =
   let attempts = match err with `Gave_up n -> n | `Timeout -> 0 in
   raise (Rpc_transport.Timed_out { op = Rpc.request_name req; seq = -1; attempts })
 
-(* An [Error] reply from an agent that should know the state we installed
-   means the agent answered from a fresh boot (a restart raced an in-flight
-   call, so we saw the reply before any Pong carried the new epoch) or has
-   otherwise drifted. With the failure detector on we don't raise: the
-   agent is declared Dead and the op queued — the next heartbeat answers
-   with the bumped epoch and the whole switch is replayed from intent. *)
-let desync t idx msg =
-  match t.health with
-  | Some h ->
-      mark_dead t h idx;
-      None
-  | None -> invalid_arg msg
-
-let provisional_mid t =
-  let mid = t.next_provisional in
-  t.next_provisional <- mid - 1;
-  mid
-
-(* One blocking call with failure-detector semantics: [None] means the
-   transport gave up and the agent is now Dead. Flushes the agent's
-   batch buffer first, so a direct call can never overtake ops buffered
-   before it — per-agent order is preserved across both paths. *)
-let rec call_reply t idx req =
-  flush_agent t idx;
+(* One blocking call; [None] means the transport gave up and the switch
+   is now Dead. *)
+let call t idx req =
   match Rpc_transport.Client.call t.rpcs.(idx) (wire t req) with
   | Ok (Rpc.Stale_fence { fence }) ->
       (* the agent has seen a higher fencing epoch: a standby was
@@ -517,198 +538,94 @@ let rec call_reply t idx req =
       depose t ~fence;
       raise Deposed_primary
   | Ok reply -> Some reply
-  | Error err -> (
-      match t.health with
-      | Some h ->
-          mark_dead t h idx;
-          None
-      | None -> raise_timed_out req err)
+  | Error err ->
+      agent_failed t idx ~raise_:(fun () -> raise_timed_out req err);
+      None
 
-(* Ship everything buffered for switch [idx] as a single [Rpc.Batch]
-   call (batched mode; a no-op otherwise since the buffer stays empty).
-   The buffer drains FIFO into the batch's op list, so agent-side
-   execution order equals buffering order. Failure handling mirrors the
-   per-op path op-for-op: an [Error] slot in the reply marks the agent
-   Dead and defers that op for the post-heal drain/replay; a transport
-   failure defers the whole batch (or raises without a failure
-   detector). The [flushing] guard breaks reentrancy: the blocking batch
-   call pumps the engine, where a heartbeat-triggered resync can land on
-   this same agent and come back through [call_reply]. *)
-and flush_agent t idx =
-  if not (Queue.is_empty t.buffers.(idx)) && not t.flushing.(idx) then begin
+(* Ship [ops] (in order) to switch [idx] in one call and settle each
+   op's reply. Unavailable switch, dead channel or [Error] slot: the op
+   is deferred (see {!agent_failed}). *)
+let ship_ops t idx ops =
+  if unavailable t idx then List.iter (push_deferred t idx) ops
+  else
+    let req = match ops with [ op ] -> op | ops -> Rpc.Batch ops in
+    match call t idx req with
+    | None -> List.iter (push_deferred t idx) ops
+    | Some reply ->
+        let replies =
+          match (reply, ops) with
+          | Rpc.Batch_reply rs, _ :: _ :: _ when List.compare_lengths rs ops = 0 -> rs
+          | Rpc.Error _, _ | _, [ _ ] -> List.map (fun _ -> reply) ops
+          | _ -> invalid_arg "Controller: unexpected reply to batch"
+        in
+        List.iter2
+          (fun op reply ->
+            match reply with
+            | Rpc.Ack -> ()
+            | Rpc.Error msg ->
+                agent_failed t idx ~raise_:(fun () -> invalid_arg msg);
+                push_deferred t idx op
+            | Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _ ->
+                invalid_arg
+                  (Printf.sprintf "Controller: unexpected reply to %s"
+                     (Rpc.request_name op)))
+          ops replies
+
+(* Ship everything buffered for switch [idx]. The buffer drains FIFO, so
+   agent-side execution order equals buffering order; ops buffered while
+   the call was in flight go out next. The [flushing] guard breaks
+   reentrancy: the blocking call pumps the engine, where a
+   heartbeat-triggered resync can land on this same agent and come back
+   through {!call_reply}. *)
+let flush_agent t idx =
+  let buf = t.buffers.(idx) in
+  if not (Queue.is_empty buf || t.flushing.(idx)) then begin
     t.flushing.(idx) <- true;
     Fun.protect
       ~finally:(fun () -> t.flushing.(idx) <- false)
       (fun () ->
-        let buf = t.buffers.(idx) in
-        let ops = List.of_seq (Queue.to_seq buf) in
-        Queue.clear buf;
-        let defer_op op =
-          match t.health with
-          | Some h -> push_deferred t h idx { d_mid = op.b_mid; d_build = op.b_build }
-          | None -> ()
-        in
-        if unavailable t idx then List.iter defer_op ops
-        else begin
-          (* resolve agent-side meeting ids now: a site created during a
-             Dead spell still carries a provisional id and must be
-             materialized (a synchronous New_meeting) before its ops can
-             be encoded *)
-          let rec resolve acc = function
-            | [] -> Some (List.rev acc)
-            | op :: rest -> (
-                let m = find_meeting t op.b_mid in
-                match materialize_site t m idx with
-                | Some site ->
-                    resolve ((op, op.b_build ~agent_mid:site.agent_mid) :: acc) rest
-                | None -> None)
-          in
-          match resolve [] ops with
-          | None ->
-              (* the switch died under us; keep every op, in order *)
-              List.iter defer_op ops
-          | Some resolved -> (
-              let reqs = List.map snd resolved in
-              match Rpc_transport.Client.call t.rpcs.(idx) (wire t (Rpc.Batch reqs)) with
-              | Ok (Rpc.Stale_fence { fence }) ->
-                  depose t ~fence;
-                  raise Deposed_primary
-              | Ok (Rpc.Batch_reply replies)
-                when List.length replies = List.length resolved ->
-                  List.iter2
-                    (fun (op, req) reply ->
-                      match reply with
-                      | Rpc.Ack -> ()
-                      | Rpc.Error msg -> (
-                          (* same desync logic as the per-op path; the op
-                             must survive for the drain-or-replay *)
-                          match t.health with
-                          | Some h ->
-                              mark_dead t h idx;
-                              push_deferred t h idx
-                                { d_mid = op.b_mid; d_build = op.b_build }
-                          | None -> invalid_arg msg)
-                      | Rpc.Meeting_created _ | Rpc.Pong _ | Rpc.Batch_reply _
-                      | Rpc.Stale_fence _ ->
-                          invalid_arg
-                            (Printf.sprintf
-                               "Controller: unexpected reply to %s in batch"
-                               (Rpc.request_name req)))
-                    resolved replies
-              | Ok (Rpc.Error msg) -> (
-                  match t.health with
-                  | Some h ->
-                      mark_dead t h idx;
-                      List.iter defer_op ops
-                  | None -> invalid_arg msg)
-              | Ok (Rpc.Ack | Rpc.Pong _ | Rpc.Meeting_created _ | Rpc.Batch_reply _) ->
-                  invalid_arg "Controller: unexpected reply to batch"
-              | Error err -> (
-                  match t.health with
-                  | Some h ->
-                      mark_dead t h idx;
-                      List.iter defer_op ops
-                  | None -> raise_timed_out (Rpc.Batch reqs) err))
-        end)
+        while not (Queue.is_empty buf) do
+          let ops = List.of_seq (Queue.to_seq buf) in
+          Queue.clear buf;
+          ship_ops t idx ops
+        done)
   end
 
-and rpc_new_meeting t idx ~two_party =
-  match call_reply t idx (Rpc.New_meeting { two_party }) with
-  | Some (Rpc.Meeting_created { meeting }) -> Some meeting
-  | Some (Rpc.Error msg) -> desync t idx msg
-  | Some (Rpc.Ack | Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
-      invalid_arg "Controller: missing meeting id in new-meeting reply"
-  | None -> None
+(* A direct call for the heal paths; flushing first means it can never
+   overtake ops buffered before it. *)
+let call_reply t idx req =
+  flush_agent t idx;
+  call t idx req
 
-(* Lazily bring a meeting up on a switch. While the switch is Dead the
-   site carries a provisional (negative) agent meeting id, swapped for a
-   real one when the deferred queue drains or a resync replays it. *)
-and site_of t m idx =
-  match Hashtbl.find_opt m.sites idx with
-  | Some s -> s
-  | None ->
-      let _, dp = t.agents.(idx) in
-      let agent_mid =
-        (* a journal replay reconstructs intent only: sites get
-           provisional ids; the fenced resync at promotion is what
-           materializes them on the agents *)
-        if t.recovering || unavailable t idx then provisional_mid t
-        else
-          match rpc_new_meeting t idx ~two_party:false with
-          | Some mid -> mid
-          | None -> provisional_mid t
-      in
-      let s = { s_idx = idx; dp; agent_mid } in
-      Hashtbl.replace m.sites idx s;
-      s
-
-(* Turn a provisional site (created while its switch was Dead) into a real
-   agent-side meeting; [None] when the switch died again under us. *)
-and materialize_site t m idx =
-  let site = site_of t m idx in
-  if site.agent_mid >= 0 then Some site
-  else
-    match rpc_new_meeting t idx ~two_party:false with
-    | Some agent_mid ->
-        let s = { site with agent_mid } in
-        Hashtbl.replace m.sites idx s;
-        Some s
-    | None -> None
-
-(* Flush every per-agent batch buffer — the operation-boundary hook:
-   public session mutations buffer their wire ops and call this before
-   returning, so one [join]/[leave]/share change becomes one [Rpc.Batch]
-   per touched switch instead of a blocking round trip per op. *)
+(* Flush every per-agent buffer — the operation-boundary hook: public
+   session mutations call this before returning, so in batched mode one
+   [join]/[leave]/share change becomes one call per touched switch. *)
 let flush_buffers t = Array.iteri (fun idx _ -> flush_agent t idx) t.rpcs
 
-(* Issue one agent-state mutation on switch [idx] of meeting [m], or
-   queue it while the switch is Dead. Intent (the caller's bookkeeping)
-   is always updated by the caller regardless — the queue only carries
+(* Queue one wire op for switch [idx]. Intent (the caller's bookkeeping)
+   is always updated by the caller regardless — the buffer only carries
    the wire side, so a leave or target change against an unreachable
-   switch never raises and never forks controller state. *)
-let agent_op t m idx (build : agent_mid:int -> Rpc.request) =
-  let defer h =
-    ignore (site_of t m idx);
-    push_deferred t h idx { d_mid = m.mid; d_build = build }
-  in
-  if t.recovering then
-    (* journal replay: record that the meeting has a site here and skip
-       the wire — the agents' state is the promotion resync's concern *)
-    ignore (site_of t m idx)
-  else
-  match t.health with
-  | Some h when h.hs_agents.(idx).ah = Dead -> defer h
-  | _ when t.batch ->
-      (* batched mode: record the op (the site is created eagerly so its
-         New_meeting keeps its place in the op order) and return; the
-         flush at the operation boundary ships the whole buffer as one
-         [Rpc.Batch] *)
-      ignore (site_of t m idx);
-      Queue.push { b_mid = m.mid; b_build = build } t.buffers.(idx)
-  | _ -> (
-      let site = site_of t m idx in
-      if unavailable t idx then
-        (* the New_meeting inside site_of just hit a dead channel (or
-           the switch is mid-heal and must not take direct ops) *)
-        match t.health with Some h -> defer h | None -> ()
-      else
-        let req = build ~agent_mid:site.agent_mid in
-        match call_reply t idx req with
-        | Some Rpc.Ack -> ()
-        | Some (Rpc.Error msg) -> (
-            (* same desync logic, but the op itself must survive for the
-               post-resync drain-or-replay *)
-            match t.health with
-            | Some h ->
-                mark_dead t h idx;
-                defer h
-            | None -> invalid_arg msg)
-        | Some (Rpc.Meeting_created _ | Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
-            invalid_arg
-              (Printf.sprintf "Controller: unexpected reply to %s" (Rpc.request_name req))
-        | None -> (
-            (* the agent died on this very call; keep the op for the drain *)
-            match t.health with Some h -> defer h | None -> ()))
+   switch never raises and never forks controller state. A journal
+   replay skips the wire: the agents' state is the promotion resync's
+   concern. *)
+let push_op t idx req =
+  if not t.recovering then begin
+    Queue.push req t.buffers.(idx);
+    if not t.batch then flush_agent t idx
+  end
+
+(* Bring meeting [m] up on switch [idx] the first time an op targets it:
+   [New_meeting] is an ordinary op queued ahead of the ops that need it. *)
+let site_of t m idx =
+  if not (List.mem idx m.sites) then begin
+    push_op t idx (Rpc.New_meeting { meeting = m.mid });
+    m.sites <- idx :: m.sites
+  end;
+  snd t.agents.(idx)
+
+let agent_op t m idx req =
+  ignore (site_of t m idx);
+  push_op t idx req
 
 (* --- SDP plumbing -----------------------------------------------------------
 
@@ -812,35 +729,51 @@ let add_stream_port (p : participant) kind site port =
    REMB (and NACKs/PLIs) upstream, where it arrives on A's relay leg and
    flows to the real sender under A's filter. *)
 
+let uplink_request m (p : participant) kind ~port ~renditions =
+  let video_ssrc, audio_ssrc = stream_ssrcs p kind in
+  Rpc.Register_uplink
+    {
+      meeting = m.mid;
+      sender = p.pid;
+      port;
+      video_ssrc;
+      audio_ssrc;
+      full_bitrate = stream_bitrate kind;
+      renditions;
+    }
+
+let leg_request m li =
+  Rpc.Register_leg
+    {
+      meeting = m.mid;
+      sender = li.li_sender;
+      uplink_port = Some li.li_uplink_port;
+      receiver = li.li_receiver;
+      leg_port = li.li_leg_port;
+      dst = li.li_dst;
+      adaptive = li.li_adaptive;
+    }
+
+(* Record a leg in intent and install it on its switch. *)
+let add_leg t m li =
+  m.leg_intents <- m.leg_intents @ [ li ];
+  agent_op t m li.li_idx (leg_request m li)
+
 let ensure_relay t m ~(sender : participant) ~kind ~to_switch =
   if not (List.mem_assoc to_switch (stream_ports sender kind)) then begin
-    let dst_site = site_of t m to_switch in
-    let video_ssrc, audio_ssrc = stream_ssrcs sender kind in
+    let dst_dp = site_of t m to_switch in
     (* the downstream switch sees the sender as a sending participant whose
        uplink is the relay port (its own copies are self-suppressed, so the
        pseudo egress port never carries traffic) *)
     let relay_port = fresh_sfu_port t in
     if not (List.mem to_switch sender.sites) then begin
-      let sender_pid = sender.pid in
       let egress_port = egress_port_of t (sender_site_key sender.pid to_switch) in
-      agent_op t m to_switch (fun ~agent_mid ->
-          Rpc.Register_participant
-            { meeting = agent_mid; participant = sender_pid; egress_port; sends = true });
+      agent_op t m to_switch
+        (Rpc.Register_participant
+           { meeting = m.mid; participant = sender.pid; egress_port; sends = true });
       sender.sites <- to_switch :: sender.sites
     end;
-    (let sender_pid = sender.pid in
-     let full_bitrate = stream_bitrate kind in
-     agent_op t m to_switch (fun ~agent_mid ->
-         Rpc.Register_uplink
-           {
-             meeting = agent_mid;
-             sender = sender_pid;
-             port = relay_port;
-             video_ssrc;
-             audio_ssrc;
-             full_bitrate;
-             renditions = [||];
-           }));
+    agent_op t m to_switch (uplink_request m sender kind ~port:relay_port ~renditions:[||]);
     add_stream_port sender kind to_switch relay_port;
     (* the upstream switch sees the downstream switch as one receiver *)
     let rpid = relay_pid to_switch in
@@ -848,45 +781,31 @@ let ensure_relay t m ~(sender : participant) ~kind ~to_switch =
     if not (Hashtbl.mem t.relay_receivers rkey) then begin
       Hashtbl.replace t.relay_receivers rkey ();
       let egress_port = egress_port_of t (relay_site_key m.mid to_switch) in
-      agent_op t m sender.home (fun ~agent_mid ->
-          Rpc.Register_participant
-            { meeting = agent_mid; participant = rpid; egress_port; sends = false })
+      agent_op t m sender.home
+        (Rpc.Register_participant
+           { meeting = m.mid; participant = rpid; egress_port; sends = false })
     end;
-    let leg_port = fresh_sfu_port t in
-    let li =
+    add_leg t m
       {
         li_idx = sender.home;
         li_kind = kind;
         li_sender = sender.pid;
         li_uplink_port = List.assoc sender.home (stream_ports sender kind);
         li_receiver = rpid;
-        li_leg_port = leg_port;
-        li_dst = Addr.v (Dataplane.ip dst_site.dp) relay_port;
+        li_leg_port = fresh_sfu_port t;
+        li_dst = Addr.v (Dataplane.ip dst_dp) relay_port;
         li_adaptive = false;
       }
-    in
-    m.leg_intents <- m.leg_intents @ [ li ];
-    agent_op t m sender.home (fun ~agent_mid ->
-        Rpc.Register_leg
-          {
-            meeting = agent_mid;
-            sender = li.li_sender;
-            uplink_port = Some li.li_uplink_port;
-            receiver = li.li_receiver;
-            leg_port = li.li_leg_port;
-            dst = li.li_dst;
-            adaptive = false;
-          })
   end
 
 (* Wire one (sender -> receiver) leg on the receiver's home switch:
    signaling towards the receiver plus agent/data-plane registration. *)
 let create_stream_leg t m ~kind ~(sender : participant) ~(receiver : participant) =
-  let site = site_of t m receiver.home in
+  let dp = site_of t m receiver.home in
   if sender.home <> receiver.home then ensure_relay t m ~sender ~kind ~to_switch:receiver.home;
   let video_ssrc, audio_ssrc = stream_ssrcs sender kind in
   let leg_port = fresh_sfu_port t in
-  let sfu_addr = Addr.v (Dataplane.ip site.dp) leg_port in
+  let sfu_addr = Addr.v (Dataplane.ip dp) leg_port in
   let conn =
     match adopt_connection t receiver.client ~sfu_addr with
     | Some conn -> conn
@@ -912,7 +831,7 @@ let create_stream_leg t m ~kind ~(sender : participant) ~(receiver : participant
   (match kind with
   | Camera -> receiver.recv_conns <- (sender.pid, conn) :: receiver.recv_conns
   | Screen -> receiver.screen_recv_conns <- (sender.pid, conn) :: receiver.screen_recv_conns);
-  let li =
+  add_leg t m
     {
       li_idx = receiver.home;
       li_kind = kind;
@@ -923,19 +842,6 @@ let create_stream_leg t m ~kind ~(sender : participant) ~(receiver : participant
       li_dst = Client.local_addr conn;
       li_adaptive = true;
     }
-  in
-  m.leg_intents <- m.leg_intents @ [ li ];
-  agent_op t m receiver.home (fun ~agent_mid ->
-      Rpc.Register_leg
-        {
-          meeting = agent_mid;
-          sender = li.li_sender;
-          uplink_port = Some li.li_uplink_port;
-          receiver = li.li_receiver;
-          leg_port = li.li_leg_port;
-          dst = li.li_dst;
-          adaptive = true;
-        })
 
 let create_leg t m ~sender ~receiver = create_stream_leg t m ~kind:Camera ~sender ~receiver
 
@@ -970,8 +876,7 @@ let gc_relays t m =
         List.filter
           (fun l -> not (l.li_idx = src && l.li_receiver = rpid))
           m.leg_intents;
-      agent_op t m src (fun ~agent_mid ->
-          Rpc.Remove_participant { meeting = agent_mid; participant = rpid }))
+      agent_op t m src (Rpc.Remove_participant { meeting = m.mid; participant = rpid }))
     stale
 
 let join_exec ?home ?(simulcast = false) t mid client ~send_media =
@@ -982,7 +887,7 @@ let join_exec ?home ?(simulcast = false) t mid client ~send_media =
     | Some h -> invalid_arg (Printf.sprintf "Controller.join: no switch %d" h)
     | None -> m.primary
   in
-  let site = site_of t m home in
+  let dp = site_of t m home in
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
   let ip = Client.ip client in
@@ -999,26 +904,26 @@ let join_exec ?home ?(simulcast = false) t mid client ~send_media =
         cfg.Codec.Simulcast_source.bitrates
     else [||]
   in
-  agent_op t m home (fun ~agent_mid ->
-      Rpc.Register_participant
-        { meeting = agent_mid; participant = pid; egress_port; sends = send_media });
+  agent_op t m home
+    (Rpc.Register_participant
+       { meeting = m.mid; participant = pid; egress_port; sends = send_media });
   let cam_ports = ref [] in
   let send_conn =
     if send_media then begin
       let uplink_port = fresh_sfu_port t in
       cam_ports := [ (home, uplink_port) ];
-      agent_op t m home (fun ~agent_mid ->
-          Rpc.Register_uplink
-            {
-              meeting = agent_mid;
-              sender = pid;
-              port = uplink_port;
-              video_ssrc;
-              audio_ssrc;
-              full_bitrate = 2_500_000;
-              renditions;
-            });
-      let sfu_addr = Addr.v (Dataplane.ip site.dp) uplink_port in
+      agent_op t m home
+        (Rpc.Register_uplink
+           {
+             meeting = m.mid;
+             sender = pid;
+             port = uplink_port;
+             video_ssrc;
+             audio_ssrc;
+             full_bitrate = stream_bitrate Camera;
+             renditions;
+           });
+      let sfu_addr = Addr.v (Dataplane.ip dp) uplink_port in
       match adopt_connection t client ~sfu_addr with
       | Some conn -> Some conn
       | None ->
@@ -1088,22 +993,12 @@ let start_screen_share_exec t pid =
   let p = find_participant t pid in
   if p.screen <> None then invalid_arg "Controller.start_screen_share: already sharing";
   let m = find_meeting t p.meeting in
-  let site = site_of t m p.home in
+  let dp = site_of t m p.home in
   let video_ssrc, audio_ssrc = stream_ssrcs p Screen in
   let uplink_port = fresh_sfu_port t in
-  agent_op t m p.home (fun ~agent_mid ->
-      Rpc.Register_uplink
-        {
-          meeting = agent_mid;
-          sender = pid;
-          port = uplink_port;
-          video_ssrc;
-          audio_ssrc;
-          full_bitrate = stream_bitrate Screen;
-          renditions = [||];
-        });
+  agent_op t m p.home (uplink_request m p Screen ~port:uplink_port ~renditions:[||]);
   add_stream_port p Screen p.home uplink_port;
-  let sfu_addr = Addr.v (Dataplane.ip site.dp) uplink_port in
+  let sfu_addr = Addr.v (Dataplane.ip dp) uplink_port in
   let conn =
     match adopt_connection t p.client ~sfu_addr with
     | Some conn -> conn
@@ -1141,8 +1036,7 @@ let stop_screen_share_exec t pid =
       (* tear the stream down on every switch it was relayed to *)
       List.iter
         (fun (idx, port) ->
-          agent_op t m idx (fun ~agent_mid ->
-              Rpc.Unregister_uplink { meeting = agent_mid; port }))
+          agent_op t m idx (Rpc.Unregister_uplink { meeting = m.mid; port }))
         p.screen_ports;
       p.screen_ports <- [];
       m.leg_intents <-
@@ -1190,8 +1084,7 @@ let leave_exec t pid =
          any switch it was relayed onto as a sender *)
       List.iter
         (fun idx ->
-          agent_op t m idx (fun ~agent_mid ->
-              Rpc.Remove_participant { meeting = agent_mid; participant = pid }))
+          agent_op t m idx (Rpc.Remove_participant { meeting = m.mid; participant = pid }))
         (List.sort_uniq compare p.sites);
       gc_relays t m;
       Option.iter (fun c -> Client.close_connection p.client c) p.send_conn;
@@ -1230,8 +1123,7 @@ let set_pair_target_exec t ~sender ~receiver target =
   let m = find_meeting t s.meeting in
   m.pair_targets <-
     ((sender, receiver), target) :: List.remove_assoc (sender, receiver) m.pair_targets;
-  agent_op t m r.home (fun ~agent_mid ->
-      Rpc.Set_pair_target { meeting = agent_mid; sender; receiver; target });
+  agent_op t m r.home (Rpc.Set_pair_target { meeting = m.mid; sender; receiver; target });
   flush_buffers t
 
 let set_pair_target t ~sender ~receiver target =
@@ -1249,9 +1141,7 @@ let recv_connection t pid ~from =
 
 let send_connection t pid = (find_participant t pid).send_conn
 
-let agent_meeting_id t mid =
-  let m = find_meeting t mid in
-  (site_of t m m.primary).agent_mid
+let agent_meeting_id t mid = (find_meeting t mid).mid
 
 let agent_participant_id _t pid = pid
 
@@ -1274,22 +1164,18 @@ let stats (t : t) =
   }
 
 let control_channel t idx =
-  if idx < 0 || idx >= Array.length t.rpcs then
-    invalid_arg (Printf.sprintf "Controller.control_channel: no switch %d" idx);
+  check_switch "control_channel" t idx;
   t.rpcs.(idx)
 
 let meeting_participants t mid = (find_meeting t mid).members
 
-let meeting_switch t mid =
-  let m = find_meeting t mid in
-  (site_of t m m.primary).dp
+let meeting_switch t mid = snd t.agents.((find_meeting t mid).primary)
 
 let switch_count t = Array.length t.agents
 let participant_home t pid = (find_participant t pid).home
 
 let switch_agent t idx =
-  if idx < 0 || idx >= Array.length t.agents then
-    invalid_arg (Printf.sprintf "Controller.switch_agent: no switch %d" idx);
+  check_switch "switch_agent" t idx;
   t.agents.(idx)
 
 (* --- failure recovery --------------------------------------------------------
@@ -1325,9 +1211,9 @@ let resync t idx =
      (Schedule that hits this: drop an op's first transmission, crash
      the agent before the retransmit, restart it before the retry
      ladder gives up.) Without a failure detector there is no retry
-     path, so [desync] raises as before. *)
+     path, so the error is raised instead. *)
   let error_reply msg =
-    ignore (desync t idx ("Controller.resync: " ^ msg));
+    agent_failed t idx ~raise_:(fun () -> invalid_arg ("Controller.resync: " ^ msg));
     raise Resync_aborted
   in
   (* A replay is only meaningful against the epoch it started healing.
@@ -1338,9 +1224,7 @@ let resync t idx =
      half-replayed blank state. Abort; the next pong restarts a full
      heal, and the quiet-channel rule holds it back until the stragglers
      settle. *)
-  let observed () =
-    match t.health with Some h -> h.hs_agents.(idx).ah_observed | None -> -1
-  in
+  let observed () = t.health.hs_agents.(idx).ah_observed in
   let epoch0 = observed () in
   let check_epoch () =
     if observed () <> epoch0 then
@@ -1351,108 +1235,66 @@ let resync t idx =
     match call_reply t idx req with
     | Some Rpc.Ack -> check_epoch ()
     | Some (Rpc.Error msg) -> error_reply msg
-    | Some (Rpc.Meeting_created _ | Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
+    | Some (Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
         invalid_arg
           (Printf.sprintf "Controller.resync: unexpected reply to %s"
              (Rpc.request_name req))
     | None -> raise Resync_aborted
   in
   let replay_meeting m =
-    match Hashtbl.find_opt m.sites idx with
-    | None -> ()
-    | Some site ->
-        let agent_mid =
-          incr ops;
-          match call_reply t idx (Rpc.New_meeting { two_party = false }) with
-          | Some (Rpc.Meeting_created { meeting }) ->
-              check_epoch ();
-              meeting
-          | Some (Rpc.Error msg) -> error_reply msg
-          | Some (Rpc.Ack | Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
-              invalid_arg "Controller.resync: missing meeting id in new-meeting reply"
-          | None -> raise Resync_aborted
-        in
-        Hashtbl.replace m.sites idx { site with agent_mid };
-        (* participants registered on this switch, in join order; a sender
-           on a non-home switch is there to feed a relay uplink *)
-        List.iter
-          (fun pid ->
-            let p = find_participant t pid in
-            if List.mem idx p.sites then
-              let egress_port =
-                if idx = p.home then p.egress_port
-                else egress_port_of t (sender_site_key pid idx)
-              in
-              let sends = if idx = p.home then p.sends else true in
-              send
-                (Rpc.Register_participant
-                   { meeting = agent_mid; participant = pid; egress_port; sends }))
-          m.members;
-        (* relay pseudo receivers this switch fans out to, by destination *)
-        Hashtbl.fold
-          (fun (mid, src, dst) () acc ->
-            if mid = m.mid && src = idx then dst :: acc else acc)
-          t.relay_receivers []
-        |> List.sort compare
-        |> List.iter (fun dst ->
-               let egress_port = egress_port_of t (relay_site_key m.mid dst) in
-               send
-                 (Rpc.Register_participant
-                    {
-                      meeting = agent_mid;
-                      participant = relay_pid dst;
-                      egress_port;
-                      sends = false;
-                    }));
-        (* uplinks: camera then screen per member, in join order *)
-        List.iter
-          (fun pid ->
-            let p = find_participant t pid in
-            List.iter
-              (fun kind ->
-                match List.assoc_opt idx (stream_ports p kind) with
-                | None -> ()
-                | Some port ->
-                    let video_ssrc, audio_ssrc = stream_ssrcs p kind in
-                    let renditions =
-                      if kind = Camera && idx = p.home then p.renditions else [||]
-                    in
-                    send
-                      (Rpc.Register_uplink
-                         {
-                           meeting = agent_mid;
-                           sender = pid;
-                           port;
-                           video_ssrc;
-                           audio_ssrc;
-                           full_bitrate = stream_bitrate kind;
-                           renditions;
-                         }))
-              [ Camera; Screen ])
-          m.members;
-        (* legs in creation order *)
-        List.iter
-          (fun li ->
-            if li.li_idx = idx then
-              send
-                (Rpc.Register_leg
-                   {
-                     meeting = agent_mid;
-                     sender = li.li_sender;
-                     uplink_port = Some li.li_uplink_port;
-                     receiver = li.li_receiver;
-                     leg_port = li.li_leg_port;
-                     dst = li.li_dst;
-                     adaptive = li.li_adaptive;
-                   }))
-          m.leg_intents;
-        (* forced pair targets whose receiver leg lives here *)
-        List.sort compare m.pair_targets
-        |> List.iter (fun ((sender, receiver), target) ->
-               match Hashtbl.find_opt t.participants receiver with
-               | Some r when r.home = idx ->
-                   send (Rpc.Set_pair_target { meeting = agent_mid; sender; receiver; target })
-               | Some _ | None -> ())
+    if List.mem idx m.sites then begin
+      send (Rpc.New_meeting { meeting = m.mid });
+      (* participants registered on this switch, in join order; a sender
+         on a non-home switch is there to feed a relay uplink *)
+      List.iter
+        (fun pid ->
+          let p = find_participant t pid in
+          if List.mem idx p.sites then
+            let egress_port =
+              if idx = p.home then p.egress_port
+              else egress_port_of t (sender_site_key pid idx)
+            in
+            let sends = if idx = p.home then p.sends else true in
+            send
+              (Rpc.Register_participant
+                 { meeting = m.mid; participant = pid; egress_port; sends }))
+        m.members;
+      (* relay pseudo receivers this switch fans out to, by destination *)
+      Hashtbl.fold
+        (fun (mid, src, dst) () acc ->
+          if mid = m.mid && src = idx then dst :: acc else acc)
+        t.relay_receivers []
+      |> List.sort compare
+      |> List.iter (fun dst ->
+             let egress_port = egress_port_of t (relay_site_key m.mid dst) in
+             send
+               (Rpc.Register_participant
+                  { meeting = m.mid; participant = relay_pid dst; egress_port; sends = false }));
+      (* uplinks: camera then screen per member, in join order *)
+      List.iter
+        (fun pid ->
+          let p = find_participant t pid in
+          List.iter
+            (fun kind ->
+              match List.assoc_opt idx (stream_ports p kind) with
+              | None -> ()
+              | Some port ->
+                  let renditions =
+                    if kind = Camera && idx = p.home then p.renditions else [||]
+                  in
+                  send (uplink_request m p kind ~port ~renditions))
+            [ Camera; Screen ])
+        m.members;
+      (* legs in creation order *)
+      List.iter (fun li -> if li.li_idx = idx then send (leg_request m li)) m.leg_intents;
+      (* forced pair targets whose receiver leg lives here *)
+      List.sort compare m.pair_targets
+      |> List.iter (fun ((sender, receiver), target) ->
+             match Hashtbl.find_opt t.participants receiver with
+             | Some r when r.home = idx ->
+                 send (Rpc.Set_pair_target { meeting = m.mid; sender; receiver; target })
+             | Some _ | None -> ())
+    end
   in
   try
     send Rpc.Reset;
@@ -1470,35 +1312,31 @@ let resync t idx =
    can double-execute when the original's reply was lost in the partition;
    the agent answers those with [Error], which the drain tolerates — the
    anti-entropy reconcile pass is what repairs any residual drift. *)
-let drain_deferred t h idx =
-  let a = h.hs_agents.(idx) in
+let drain_deferred t idx =
+  let a = t.health.hs_agents.(idx) in
   let ops = ref 0 in
   let alive = ref true in
   while !alive && not (Queue.is_empty a.ah_deferred) do
-    let op = Queue.peek a.ah_deferred in
-    let m = find_meeting t op.d_mid in
-    match materialize_site t m idx with
+    incr ops;
+    match call_reply t idx (Queue.peek a.ah_deferred) with
+    | Some (Rpc.Ack | Rpc.Error _) ->
+        ignore (Queue.pop a.ah_deferred);
+        if Trace.enabled Trace.Rpc then
+          Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "op_drained"
+            ~args:
+              [
+                ctrl_arg t;
+                ("agent", Trace.I idx);
+                ("depth", Trace.I (Queue.length a.ah_deferred));
+              ]
+    | Some (Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
+        invalid_arg "Controller: unexpected reply to deferred op"
     | None -> alive := false
-    | Some site -> (
-        incr ops;
-        match call_reply t idx (op.d_build ~agent_mid:site.agent_mid) with
-        | Some (Rpc.Ack | Rpc.Error _) ->
-            ignore (Queue.pop a.ah_deferred);
-            if Trace.enabled Trace.Rpc then
-              Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "op_drained"
-                ~args:
-                  [
-                    ctrl_arg t;
-                    ("agent", Trace.I idx);
-                    ("depth", Trace.I (Queue.length a.ah_deferred));
-                  ]
-        | Some (Rpc.Meeting_created _ | Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
-            invalid_arg "Controller: unexpected reply to deferred op"
-        | None -> alive := false)
   done;
   !ops
 
-let record_recovery t h idx ~kind ~ops =
+let record_recovery t idx ~kind ~ops =
+  let h = t.health in
   let a = h.hs_agents.(idx) in
   h.hs_recovery <-
     {
@@ -1523,7 +1361,8 @@ let record_recovery t h idx ~kind ~ops =
           ("ops", Trace.I ops);
         ]
 
-let on_pong t h idx ~epoch =
+let on_pong t idx ~epoch =
+  let h = t.health in
   let a = h.hs_agents.(idx) in
   (* maintained even while a heal suppresses the rest of pong handling:
      an in-flight resync polls this to detect a reboot under its feet *)
@@ -1536,7 +1375,7 @@ let on_pong t h idx ~epoch =
     if (not rebooted) && prev <> Dead then begin
       (* steady state (or Suspect clearing up); just track the epoch *)
       a.ah_epoch <- epoch;
-      if prev <> Healthy then set_agent_health h idx Healthy;
+      if prev <> Healthy then set_agent_health t idx Healthy;
       (* ops can land in the deferred queue while a heal is in progress
          (the switch stays marked Dead until the replay finishes); they
          arrive after the heal cleared the queue and no later heal would
@@ -1551,8 +1390,8 @@ let on_pong t h idx ~epoch =
         Fun.protect
           ~finally:(fun () -> a.ah_healing <- false)
           (fun () ->
-            let ops = drain_deferred t h idx in
-            refresh_deferred_gauge h;
+            let ops = drain_deferred t idx in
+            refresh_deferred_gauge t;
             if ops > 0 then Metrics.add h.hs_repair_ops ops)
       end
     end
@@ -1601,7 +1440,7 @@ let on_pong t h idx ~epoch =
               Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "defer_discard"
                 ~args:
                   [ ctrl_arg t; ("agent", Trace.I idx); ("n", Trace.I discarded) ];
-            refresh_deferred_gauge h;
+            refresh_deferred_gauge t;
             match resync t idx with
             | Some ops ->
                 (* ops deferred while the replay itself was in flight are
@@ -1616,40 +1455,42 @@ let on_pong t h idx ~epoch =
                       "defer_discard"
                       ~args:
                         [ ctrl_arg t; ("agent", Trace.I idx); ("n", Trace.I late) ];
-                  refresh_deferred_gauge h
+                  refresh_deferred_gauge t
                 end;
                 a.ah_epoch <- epoch;
                 Metrics.incr h.hs_resync_full;
                 Metrics.add h.hs_repair_ops ops;
-                set_agent_health h idx Healthy;
-                record_recovery t h idx ~kind:`Resync ~ops
+                set_agent_health t idx Healthy;
+                record_recovery t idx ~kind:`Resync ~ops
             | None -> ()  (* died again mid-replay; retried on its next pong *)
           end
           else begin
-            let ops = drain_deferred t h idx in
-            refresh_deferred_gauge h;
+            let ops = drain_deferred t idx in
+            refresh_deferred_gauge t;
             if Queue.is_empty a.ah_deferred then begin
               a.ah_epoch <- epoch;
               Metrics.add h.hs_repair_ops ops;
-              set_agent_health h idx Healthy;
-              record_recovery t h idx ~kind:`Drain ~ops
+              set_agent_health t idx Healthy;
+              record_recovery t idx ~kind:`Drain ~ops
             end
             (* else: died again mid-drain; the rest stays queued *)
           end)
     end
   end
 
-let on_miss t h idx =
+let on_miss t idx =
+  let h = t.health in
   let a = h.hs_agents.(idx) in
   if not a.ah_healing then begin
     a.ah_missed <- a.ah_missed + 1;
     Metrics.incr h.hb_missed;
-    if a.ah_missed >= h.hc.dead_after then mark_dead t h idx
+    if a.ah_missed >= h.hc.dead_after then mark_dead t idx
     else if a.ah_missed >= h.hc.suspect_after && a.ah = Healthy then
-      set_agent_health h idx Suspect
+      set_agent_health t idx Suspect
   end
 
-let heartbeat_tick t h =
+let heartbeat_tick t =
+  let h = t.health in
   if Trace.enabled Trace.Rpc then
     Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "hb_tick"
       ~args:[ ctrl_arg t; ("interval", Trace.I h.hc.heartbeat_every_ns) ];
@@ -1665,124 +1506,61 @@ let heartbeat_tick t h =
                   Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "hb_pong"
                     ~args:
                       [ ctrl_arg t; ("agent", Trace.I idx); ("epoch", Trace.I epoch) ];
-                on_pong t h idx ~epoch
-            | Ok (Rpc.Ack | Rpc.Error _ | Rpc.Meeting_created _ | Rpc.Batch_reply _
-                 | Rpc.Stale_fence _) ->
-                on_miss t h idx
-            | Error (`Timeout | `Gave_up _) -> on_miss t h idx))
+                on_pong t idx ~epoch
+            | Ok (Rpc.Ack | Rpc.Error _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
+                on_miss t idx
+            | Error (`Timeout | `Gave_up _) -> on_miss t idx))
     h.hs_agents
 
-let arm_heartbeats t h =
+let arm_heartbeats t =
+  let h = t.health in
   if Trace.enabled Trace.Rpc then
     Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "hb_start"
       ~args:[ ctrl_arg t; ("interval", Trace.I h.hc.heartbeat_every_ns) ];
   Engine.every t.engine ~interval:h.hc.heartbeat_every_ns (fun () ->
-      if h.hs_running then heartbeat_tick t h;
+      if h.hs_running then heartbeat_tick t;
       h.hs_running)
 
-let start_health ?(config = default_health_config) t =
-  match t.health with
-  | Some h -> if not h.hs_running then begin h.hs_running <- true; arm_heartbeats t h end
-  | None ->
-      let hs_agents =
-        Array.init (Array.length t.agents) (fun idx ->
-            {
-              ah = Healthy;
-              ah_epoch = -1;
-              ah_missed = 0;
-              ah_detected_ns = 0;
-              ah_healing = false;
-              ah_observed = -1;
-              ah_deferred = Queue.create ();
-              ah_dropped = 0;
-              ah_gauge =
-                Metrics.gauge
-                  ~labels:[ ("agent", Printf.sprintf "sw%d" idx) ]
-                  ~help:"Failure-detector state (0 healthy, 1 suspect, 2 dead)"
-                  "scallop_ctrl_agent_state";
-              ah_transitions =
-                [| Healthy; Suspect; Dead |]
-                |> Array.map (fun st ->
-                       Metrics.counter
-                         ~labels:
-                           [
-                             ("agent", Printf.sprintf "sw%d" idx);
-                             ("to", health_name st);
-                           ]
-                         ~help:"Failure-detector state transitions"
-                         "scallop_ctrl_health_transitions");
-            })
-      in
-      let h =
-        {
-          hc = config;
-          hs_agents;
-          hs_running = true;
-          hb_sent =
-            Metrics.counter ~help:"Heartbeat probes sent" "scallop_ctrl_heartbeat_sent";
-          hb_missed =
-            Metrics.counter ~help:"Heartbeat probes that timed out"
-              "scallop_ctrl_heartbeat_missed";
-          hs_resync_full =
-            Metrics.counter ~help:"Full intent replays onto a switch"
-              "scallop_ctrl_resync_full";
-          hs_repair_ops =
-            Metrics.counter ~help:"RPCs issued by resyncs and deferred-queue drains"
-              "scallop_ctrl_resync_repair_ops";
-          hs_deferred =
-            Metrics.gauge ~help:"Ops currently queued for Dead switches"
-              "scallop_ctrl_deferred_ops";
-          hs_recovery = [];
-          hs_recovery_dropped =
-            Metrics.counter ~help:"Recovery events evicted from the bounded log"
-              "scallop_ctrl_recovery_log_dropped";
-        }
-      in
-      t.health <- Some h;
-      arm_heartbeats t h
+let start_health ?config t =
+  let h = t.health in
+  Option.iter (fun config -> h.hc <- config) config;
+  h.hs_started <- true;
+  if not h.hs_running then begin
+    h.hs_running <- true;
+    arm_heartbeats t
+  end
 
 let stop_health t =
-  match t.health with
-  | Some h ->
-      if h.hs_running && Trace.enabled Trace.Rpc then
-        Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "hb_stop"
-          ~args:[ ctrl_arg t ];
-      h.hs_running <- false
-  | None -> ()
-let health_running t = match t.health with Some h -> h.hs_running | None -> false
+  let h = t.health in
+  if h.hs_running && Trace.enabled Trace.Rpc then
+    Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "hb_stop" ~args:[ ctrl_arg t ];
+  h.hs_running <- false
+
+let health_running t = t.health.hs_running
 
 let agent_health t idx =
-  if idx < 0 || idx >= Array.length t.agents then
-    invalid_arg (Printf.sprintf "Controller.agent_health: no switch %d" idx);
-  match t.health with Some h -> h.hs_agents.(idx).ah | None -> Healthy
+  check_switch "agent_health" t idx;
+  t.health.hs_agents.(idx).ah
 
-let recovery_log t = match t.health with Some h -> h.hs_recovery | None -> []
-
-let recovery_log_dropped t =
-  match t.health with Some h -> Metrics.value h.hs_recovery_dropped | None -> 0
+let recovery_log t = t.health.hs_recovery
+let recovery_log_dropped t = Metrics.value t.health.hs_recovery_dropped
 
 let health_transitions t idx st =
-  if idx < 0 || idx >= Array.length t.agents then
-    invalid_arg (Printf.sprintf "Controller.health_transitions: no switch %d" idx);
-  match t.health with
-  | Some h -> Metrics.value h.hs_agents.(idx).ah_transitions.(health_rank st)
-  | None -> 0
+  check_switch "health_transitions" t idx;
+  Metrics.value t.health.hs_agents.(idx).ah_transitions.(health_rank st)
 
 (* Anti-entropy entry point: replay intent onto one switch regardless of
    its health state (the verifier calls this for a live-but-drifted
    switch). [None] if the switch went Dead during the replay. *)
 let resync_switch t idx =
-  if idx < 0 || idx >= Array.length t.agents then
-    invalid_arg (Printf.sprintf "Controller.resync_switch: no switch %d" idx);
-  match resync t idx with
-  | Some ops ->
-      (match t.health with
-      | Some h ->
-          Metrics.incr h.hs_resync_full;
-          Metrics.add h.hs_repair_ops ops
-      | None -> ());
-      Some ops
-  | None -> None
+  check_switch "resync_switch" t idx;
+  let result = resync t idx in
+  Option.iter
+    (fun ops ->
+      Metrics.incr t.health.hs_resync_full;
+      Metrics.add t.health.hs_repair_ops ops)
+    result;
+  result
 
 (* --- introspection: the controller's intent, for Scallop_analysis -------- *)
 
@@ -1811,7 +1589,7 @@ type meeting_view = {
   cmv_mid : meeting_id;
   cmv_primary : int;
   cmv_members : participant_id list;
-  cmv_sites : (int * int) list;
+  cmv_sites : int list;
 }
 
 type health_view = {
@@ -1826,7 +1604,7 @@ type intent = {
   in_participants : participant_view list;
   in_meetings : meeting_view list;
   in_relays : relay_view list;
-  in_health : health_view list;  (** [] until {!start_health} *)
+  in_health : health_view list;
 }
 
 let introspect t =
@@ -1863,9 +1641,7 @@ let introspect t =
           cmv_mid = m.mid;
           cmv_primary = m.primary;
           cmv_members = m.members;
-          cmv_sites =
-            Hashtbl.fold (fun idx s acc -> (idx, s.agent_mid) :: acc) m.sites []
-            |> List.sort compare;
+          cmv_sites = List.sort compare m.sites;
         }
         :: acc)
       t.meetings []
@@ -1888,20 +1664,17 @@ let introspect t =
     |> List.sort compare
   in
   let health =
-    match t.health with
-    | None -> []
-    | Some h ->
-        Array.to_list
-          (Array.mapi
-             (fun idx a ->
-               {
-                 hv_agent = idx;
-                 hv_state = a.ah;
-                 hv_epoch = a.ah_epoch;
-                 hv_deferred = Queue.length a.ah_deferred;
-                 hv_dropped = a.ah_dropped;
-               })
-             h.hs_agents)
+    Array.to_list
+      (Array.mapi
+         (fun idx a ->
+           {
+             hv_agent = idx;
+             hv_state = a.ah;
+             hv_epoch = a.ah_epoch;
+             hv_deferred = Queue.length a.ah_deferred;
+             hv_dropped = a.ah_dropped;
+           })
+         t.health.hs_agents)
   in
   {
     in_participants = participants;
@@ -1921,10 +1694,10 @@ let introspect t =
    set so no wire ops, SDP exchanges or rng draws happen — intent
    reconstruction is purely deterministic. *)
 
-(* Hashtbls and records with mutable fields are deep-copied; clients,
-   connections and immutable records (sites, leg intents) are shared. *)
+(* Hashtbls and records with mutable fields are copied; clients,
+   connections and immutable values (lists, leg intents) are shared. *)
 let copy_participant (p : participant) = { p with pid = p.pid }
-let copy_meeting (m : meeting) = { m with sites = Hashtbl.copy m.sites }
+let copy_meeting (m : meeting) = { m with mid = m.mid }
 
 let copy_table copy src =
   let dst = Hashtbl.create (max 16 (Hashtbl.length src)) in
@@ -1942,7 +1715,6 @@ let capture t =
     ps_next_pid = t.next_pid;
     ps_next_sfu_port = t.next_sfu_port;
     ps_next_egress_port = t.next_egress_port;
-    ps_next_provisional = t.next_provisional;
   }
 
 (* Copy-on-restore as well: two controllers restoring the same snapshot
@@ -1960,13 +1732,11 @@ let restore t (ps : persisted) =
   t.next_meeting <- ps.ps_next_meeting;
   t.next_pid <- ps.ps_next_pid;
   t.next_sfu_port <- ps.ps_next_sfu_port;
-  t.next_egress_port <- ps.ps_next_egress_port;
-  t.next_provisional <- ps.ps_next_provisional
+  t.next_egress_port <- ps.ps_next_egress_port
 
 (* The canonical rendering of controller intent, for equality checks
-   across instances. Excludes anything legitimately instance-local:
-   agent-side meeting ids (a rebuilt instance holds provisional ones
-   until its promotion resync) and failure-detector state. *)
+   across instances. Excludes failure-detector state, which is
+   legitimately instance-local. *)
 let intent_fingerprint t =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -1986,8 +1756,7 @@ let intent_fingerprint t =
     (fun mv ->
       add "m %d pri=%d members=%s sites=%s\n" mv.cmv_mid mv.cmv_primary
         (String.concat "," (List.map string_of_int mv.cmv_members))
-        (* site presence only — the agent-side ids differ by design *)
-        (String.concat "," (List.map (fun (idx, _) -> string_of_int idx) mv.cmv_sites)))
+        (String.concat "," (List.map string_of_int mv.cmv_sites)))
     i.in_meetings;
   List.iter
     (fun rv ->
@@ -2089,25 +1858,21 @@ let restart t =
     t.next_pid <- 0;
     t.next_sfu_port <- 40_000;
     t.next_egress_port <- 1;
-    t.next_provisional <- -2;
     t.applied <- -1;
     Array.iter Queue.clear t.buffers;
-    (match t.health with
-    | Some h ->
-        h.hs_running <- false;
-        Array.iter
-          (fun a ->
-            a.ah <- Healthy;
-            Metrics.set a.ah_gauge 0.;
-            a.ah_epoch <- -1;
-            a.ah_missed <- 0;
-            a.ah_healing <- false;
-            a.ah_observed <- -1;
-            a.ah_dropped <- 0;
-            Queue.clear a.ah_deferred)
-          h.hs_agents;
-        refresh_deferred_gauge h
-    | None -> ());
+    t.health.hs_running <- false;
+    Array.iter
+      (fun a ->
+        a.ah <- Healthy;
+        Metrics.set a.ah_gauge 0.;
+        a.ah_epoch <- -1;
+        a.ah_missed <- 0;
+        a.ah_healing <- false;
+        a.ah_observed <- -1;
+        a.ah_dropped <- 0;
+        Queue.clear a.ah_deferred)
+      t.health.hs_agents;
+    refresh_deferred_gauge t;
     if Trace.enabled Trace.Rpc then
       Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "ctrl_restart"
         ~args:[ ctrl_arg t ];
@@ -2133,9 +1898,7 @@ let promote ?health_config t =
       if Trace.enabled Trace.Rpc then
         Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "ctrl_activate"
           ~args:[ ctrl_arg t; ("fence", Trace.I t.fence) ];
-      (match health_config with
-      | Some config -> start_health ~config t
-      | None -> start_health t);
+      start_health ?config:health_config t;
       Array.iteri (fun idx _ -> ignore (resync_switch t idx)) t.agents
 
 let role t = t.role

@@ -41,16 +41,17 @@ val create :
     meeting lives wholly on one switch (splitting a meeting across
     switches — true cascading — is future work in the paper as well).
 
-    [batch] (default [false]) turns on control-plane batching: session
-    mutations append their wire ops to a per-switch buffer instead of
-    issuing one blocking RPC each, and the buffer is flushed as a single
-    [Rpc.Batch] at the end of each public operation ([join], [leave],
-    screen-share changes, [set_pair_target]) — one round trip per
-    touched switch per operation. Per-switch op order, at-most-once
-    replay (the whole batch reply is cached under its sequence number)
-    and the failure-detector semantics are unchanged: an op that hits a
-    Dead or dying switch is queued for the post-heal drain or replay
-    exactly as in per-op mode.
+    Every wire op (including the [New_meeting] that brings a meeting up
+    on a switch, under the controller's own meeting id) goes to a
+    per-switch buffer, and a flush ships the buffer in one blocking call:
+    a lone op as a bare request, several as one [Rpc.Batch]. [batch]
+    picks the flush policy. With [false] (the default) the buffer is
+    flushed after every op, one round trip per op. With [true] it is
+    flushed at the end of each public operation ([join], [leave],
+    screen-share changes, [set_pair_target]): one round trip per touched
+    switch per operation. Per-switch op order, at-most-once replay (a
+    batch reply is cached under its sequence number) and failure
+    handling are the same under both policies.
 
     [journal] puts the instance in cluster mode: every mutation is
     write-ahead logged there under the instance's fencing epoch, and
@@ -126,6 +127,9 @@ val recv_connection :
 val send_connection : t -> participant_id -> Webrtc.Client.connection option
 
 val agent_meeting_id : t -> meeting_id -> Switch_agent.meeting_id
+(** The id the agents hold the meeting under — the controller's own
+    meeting id. A pure read: it never touches the control channel. *)
+
 val agent_participant_id : t -> participant_id -> int
 
 type stats = {
@@ -163,16 +167,19 @@ val relay_pid : int -> participant_id
 
 (** {1 Failure detection and recovery}
 
-    Opt-in: until {!start_health} is called the controller keeps its
-    original contract — a control channel that exhausts its retries
-    raises {!Rpc_transport.Timed_out} out of the mutating call.
+    The detector's state exists from {!create} on, every switch
+    [Healthy], but it is idle until {!start_health} is first called.
+    Until then a failed op raises out of the mutating call:
+    {!Rpc_transport.Timed_out} for a control channel that exhausts its
+    retries, [Invalid_argument] for an agent's [Error] reply.
 
-    With health tracking on, the controller probes every agent with a
-    [Ping] heartbeat each [heartbeat_every_ns] of virtual time and runs
-    a per-agent state machine: [Healthy] → (missed probes ≥
-    [suspect_after]) → [Suspect] → (≥ [dead_after]) → [Dead]. Session
-    mutations against a [Dead] switch no longer raise: the wire side of
-    the op is queued (bounded by [deferred_cap]; overflow drops the
+    Once started, the controller probes every agent with a [Ping]
+    heartbeat each [heartbeat_every_ns] of virtual time and runs a
+    per-agent state machine: [Healthy] → (missed probes ≥
+    [suspect_after]) → [Suspect] → (≥ [dead_after]) → [Dead]. A failed
+    op marks its switch [Dead] instead of raising, and session mutations
+    against a [Dead] switch do not raise either: the wire side of the op
+    is queued (bounded by [deferred_cap]; overflow drops the
     oldest op and forces a full resync on heal) while controller intent
     updates normally. The data plane of a merely-partitioned switch
     keeps forwarding its last-known state throughout.
@@ -202,18 +209,19 @@ val start_health : ?config:health_config -> t -> unit
 (** Arm the heartbeat loop. The loop keeps the engine's event queue
     non-empty, so callers that [Engine.run] to quiescence must
     {!stop_health} (or run [~until:]) to terminate. Restarting after
-    {!stop_health} re-arms the loop; [config] is only read the first
-    time. *)
+    {!stop_health} re-arms the loop. [config], when given, replaces the
+    detector's settings ({!default_health_config} until then). *)
 
 val stop_health : t -> unit
 (** Stop probing (idempotent). Agent states and queued ops survive a
-    stop/start cycle. *)
+    stop/start cycle, and failed ops keep being deferred rather than
+    raised. *)
 
 val health_running : t -> bool
 
 val agent_health : t -> int -> agent_health
-(** State of the switch at the given agent-list index ([Healthy] when
-    health tracking was never started). *)
+(** State of the switch at the given agent-list index ([Healthy] until
+    the detector says otherwise). *)
 
 val health_name : agent_health -> string
 (** ["healthy"] / ["suspect"] / ["dead"] — for logs and CLI output. *)
@@ -285,7 +293,9 @@ type meeting_view = {
   cmv_mid : meeting_id;
   cmv_primary : int;
   cmv_members : participant_id list;  (** join order *)
-  cmv_sites : (int * int) list;  (** switch index → agent meeting id there *)
+  cmv_sites : int list;
+      (** switches the meeting is brought up on, ascending; each agent
+          holds it under [cmv_mid] *)
 }
 
 type health_view = {
@@ -300,7 +310,7 @@ type intent = {
   in_participants : participant_view list;  (** sorted by pid *)
   in_meetings : meeting_view list;  (** sorted by mid *)
   in_relays : relay_view list;
-  in_health : health_view list;  (** one per switch; [] until {!start_health} *)
+  in_health : health_view list;  (** one per switch, in agent-list order *)
 }
 
 val introspect : t -> intent
@@ -395,6 +405,5 @@ val compact_journal : t -> unit
 val intent_fingerprint : t -> string
 (** Canonical rendering of the controller's session intent, for equality
     checks across instances (the killed-vs-never-killed property and the
-    cluster drift invariant). Excludes instance-local detail: agent-side
-    meeting ids (provisional on a rebuilt instance until its promotion
-    resync) and failure-detector state. *)
+    cluster drift invariant). Excludes failure-detector state, which is
+    instance-local. *)

@@ -2,7 +2,7 @@ module Addr = Scallop_util.Addr
 module Dd = Av1.Dd
 
 type request =
-  | New_meeting of { two_party : bool }
+  | New_meeting of { meeting : int }
   | Register_participant of {
       meeting : int;
       participant : int;
@@ -41,7 +41,6 @@ type request =
   | Fenced of { fence : int; op : request }
 
 type reply =
-  | Meeting_created of { meeting : int }
   | Ack
   | Pong of { epoch : int }
   | Error of string
@@ -86,7 +85,7 @@ let framed fields =
 
 let rec encode_request r =
   match r with
-  | New_meeting { two_party } -> [ "new-meeting"; bool_field two_party ]
+  | New_meeting { meeting } -> [ "new-meeting"; string_of_int meeting ]
   | Register_participant { meeting; participant; egress_port; sends } ->
       [
         "register-participant";
@@ -143,7 +142,6 @@ let rec encode_request r =
   | Fenced { fence; op } -> "fenced" :: string_of_int fence :: encode_request op
 
 let rec encode_reply = function
-  | Meeting_created { meeting } -> [ "meeting-created"; string_of_int meeting ]
   | Ack -> [ "ack" ]
   | Pong { epoch } -> [ "pong"; string_of_int epoch ]
   | Error msg -> [ "error"; msg ]
@@ -198,7 +196,7 @@ let framed_groups name count tokens =
   go count tokens []
 
 let rec decode_request = function
-  | [ "new-meeting"; tp ] -> New_meeting { two_party = bool_of_field "two_party" tp }
+  | [ "new-meeting"; m ] -> New_meeting { meeting = int_field "meeting" m }
   | [ "register-participant"; m; p; e; s ] ->
       Register_participant
         {
@@ -262,7 +260,6 @@ let rec decode_request = function
   | [] -> fail "empty request"
 
 let rec decode_reply = function
-  | [ "meeting-created"; m ] -> Meeting_created { meeting = int_field "meeting" m }
   | [ "ack" ] -> Ack
   | [ "pong"; e ] -> Pong { epoch = int_field "epoch" e }
   | [ "stale-fence"; f ] -> Stale_fence { fence = int_field "fence" f }

@@ -8,7 +8,10 @@
     experiments instead of being a counted-but-free function call. *)
 
 type request =
-  | New_meeting of { two_party : bool }
+  | New_meeting of { meeting : int }
+      (** bring a meeting up on the agent under the id the controller
+          chose (its own meeting id); answered with {!Ack}, or {!Error}
+          when the id is negative or already held *)
   | Register_participant of {
       meeting : int;
       participant : int;
@@ -68,8 +71,7 @@ type request =
           carrier-grade control-plane requirement) *)
 
 type reply =
-  | Meeting_created of { meeting : int }  (** answers [New_meeting] *)
-  | Ack
+  | Ack  (** a session mutation or [Reset] succeeded *)
   | Pong of { epoch : int }  (** answers [Ping] *)
   | Error of string
       (** the agent rejected the request (e.g. unknown meeting); carried

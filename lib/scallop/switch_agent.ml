@@ -60,7 +60,6 @@ type t = {
   meetings : (meeting_id, meeting_state) Hashtbl.t;
   stream_by_uplink : (int, sender_stream) Hashtbl.t;
   leg_index : (int, sender_stream * leg_info) Hashtbl.t;  (** by leg_port *)
-  mutable next_meeting : int;
   mutable alive : bool;
   mutable epoch : int;  (** bumped on every restart; carried in Pong *)
   mutable fence : int;
@@ -141,13 +140,15 @@ let maybe_migrate t m =
    link; [rpc_calls] counts the request messages that actually arrived
    on the wire (duplicates included), not local function entries. *)
 
-let new_meeting t ~two_party =
-  ignore two_party;
+let new_meeting t ~meeting:mid =
+  (* the controller chooses meeting ids; a duplicate would overwrite the
+     meeting and leak its tree registration *)
+  if mid < 0 then invalid_arg (Printf.sprintf "Switch_agent: invalid meeting id %d" mid);
+  if Hashtbl.mem t.meetings mid then
+    invalid_arg (Printf.sprintf "Switch_agent: meeting %d already exists" mid);
   (* Meetings always start as an (empty) NRA registration; the migration
      policy moves them to Two_party once exactly two members are present,
      and onwards as adaptation state evolves. *)
-  let mid = t.next_meeting in
-  t.next_meeting <- mid + 1;
   let handle =
     Trees.register_meeting (Dataplane.trees t.dp) Trees.Nra ~participants:[] ~senders:[]
   in
@@ -160,8 +161,7 @@ let new_meeting t ~two_party =
       members = [];
       sender_members = [];
       pair_specific = false;
-    };
-  mid
+    }
 
 let meeting t mid =
   match Hashtbl.find_opt t.meetings mid with
@@ -538,8 +538,9 @@ let rec dispatch t (req : Rpc.request) : Rpc.reply =
          matching is oblivious to the (test-only) execution-order mutation *)
       Rpc.Batch_reply
         (List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) results))
-  | Rpc.New_meeting { two_party } ->
-      Rpc.Meeting_created { meeting = new_meeting t ~two_party }
+  | Rpc.New_meeting { meeting } ->
+      new_meeting t ~meeting;
+      Rpc.Ack
   | Rpc.Register_participant { meeting; participant; egress_port; sends } ->
       register_participant t ~meeting ~participant ~egress_port ~sends;
       Rpc.Ack
@@ -586,7 +587,6 @@ let create engine dp ?(rewrite = Seq_rewrite.S_LM) ?(select = default_select)
       meetings = Hashtbl.create 32;
       stream_by_uplink = Hashtbl.create 64;
       leg_index = Hashtbl.create 256;
-      next_meeting = 0;
       alive = true;
       epoch = 0;
       fence = 0;
@@ -643,7 +643,6 @@ let crash t =
 let restart t =
   crash t;
   t.epoch <- t.epoch + 1;
-  t.next_meeting <- 0;
   t.fence <- 0;
   t.alive <- true;
   let server = rpc_server t in

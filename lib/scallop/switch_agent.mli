@@ -63,7 +63,10 @@ val create :
 
 type meeting_id = int
 
-val new_meeting : t -> two_party:bool -> meeting_id
+val new_meeting : t -> meeting:meeting_id -> unit
+(** Bring up meeting [meeting] under the id the controller chose.
+    @raise Invalid_argument if [meeting] is negative or already held. *)
+
 val meeting_design : t -> meeting_id -> Trees.design
 
 val register_participant :

@@ -15,7 +15,7 @@ module C = Scallop.Controller
 
 let all_requests =
   [
-    Rpc.New_meeting { two_party = true };
+    Rpc.New_meeting { meeting = 4 };
     Rpc.Register_participant { meeting = 3; participant = 7; egress_port = 140; sends = false };
     Rpc.Register_uplink
       {
@@ -52,7 +52,6 @@ let codec_roundtrip () =
       let msg = Rpc.Reply { seq = 9; reply } in
       Alcotest.(check bool) "reply roundtrip" true (Rpc.decode (Rpc.encode msg) = msg))
     [
-      Rpc.Meeting_created { meeting = 12 };
       Rpc.Ack;
       Rpc.Error "no such meeting";
       Rpc.Pong { epoch = 3 };
@@ -79,9 +78,7 @@ let harness ?(config = T.default) ?on_request () =
       ~handler:(fun req ->
         incr executed;
         Option.iter (fun f -> f req) on_request;
-        match req with
-        | Rpc.New_meeting _ -> Rpc.Meeting_created { meeting = !executed }
-        | _ -> Rpc.Ack)
+        Rpc.Ack)
       ()
   in
   let client =
@@ -99,8 +96,8 @@ let retry_after_timeout () =
   (* drop the first two attempts; the third gets through *)
   T.Client.set_request_fault client
     (Some (fun ~seq:_ ~attempt _ -> if attempt < 2 then T.Drop else T.Pass));
-  let reply = T.Client.call client (Rpc.New_meeting { two_party = false }) in
-  Alcotest.(check bool) "reply" true (reply = Ok (Rpc.Meeting_created { meeting = 1 }));
+  let reply = T.Client.call client (Rpc.New_meeting { meeting = 0 }) in
+  Alcotest.(check bool) "reply" true (reply = Ok Rpc.Ack);
   Alcotest.(check int) "executed once" 1 !executed;
   let cs = T.Client.stats client in
   Alcotest.(check int) "two retries" 2 cs.retries;
@@ -139,8 +136,8 @@ let delayed_reply_is_retried_then_reconciled () =
            T.Delay (Engine.ms 15)
          end
          else T.Pass));
-  let reply = T.Client.call client (Rpc.New_meeting { two_party = false }) in
-  Alcotest.(check bool) "reply" true (reply = Ok (Rpc.Meeting_created { meeting = 1 }));
+  let reply = T.Client.call client (Rpc.New_meeting { meeting = 0 }) in
+  Alcotest.(check bool) "reply" true (reply = Ok Rpc.Ack);
   Alcotest.(check int) "executed once" 1 !executed;
   Alcotest.(check int) "one retry" 1 (T.Client.stats client).retries;
   Alcotest.(check int) "replayed once" 1 (T.Server.stats server).replayed
@@ -151,11 +148,11 @@ let gives_up_after_max_retries () =
   T.Client.set_request_fault client (Some (fun ~seq:_ ~attempt:_ _ -> T.Drop));
   (* the typed surface: [call] returns the error instead of raising *)
   Alcotest.(check bool) "typed error" true
-    (T.Client.call client (Rpc.New_meeting { two_party = false }) = Error (`Gave_up 4));
+    (T.Client.call client (Rpc.New_meeting { meeting = 0 }) = Error (`Gave_up 4));
   (* the raising convenience wrapper preserves the old contract *)
   Alcotest.(check bool) "call_exn raises" true
     (try
-       let _ = T.Client.call_exn client (Rpc.New_meeting { two_party = false }) in
+       let _ = T.Client.call_exn client (Rpc.New_meeting { meeting = 0 }) in
        false
      with T.Timed_out { attempts; _ } -> attempts = 4);
   Alcotest.(check int) "never executed" 0 !executed;
@@ -245,6 +242,23 @@ let dead_channel_surfaces_as_controller_error () =
        false
      with T.Timed_out _ -> true)
 
+let agent_meeting_id_is_a_pure_read () =
+  let _, _, _, _, controller = make_stack ~seed:16 () in
+  let mid = C.create_meeting controller in
+  let before = (C.stats controller).control_requests in
+  Alcotest.(check int) "the controller's own id" mid (C.agent_meeting_id controller mid);
+  Alcotest.(check int) "no request on the control channel" before
+    (C.stats controller).control_requests
+
+(* New_meeting is an ordinary op: in batched mode it rides in the join's
+   batch instead of costing a synchronous round trip of its own. *)
+let batched_first_join_is_one_request () =
+  let ((_, _, _, agent, controller) as stack) = make_stack ~seed:17 ~batch:true () in
+  let mid, _ = join_n stack 1 in
+  Alcotest.(check int) "one control request" 1 (C.stats controller).control_requests;
+  Alcotest.(check int) "member installed" 1
+    (List.length (Scallop.Switch_agent.meeting_members agent (C.agent_meeting_id controller mid)))
+
 (* --- QCheck: the whole vocabulary round-trips, batches included ------------ *)
 
 let gen_target =
@@ -255,7 +269,7 @@ let gen_base_request =
   let i = int_bound 100_000 in
   oneof
     [
-      map (fun two_party -> Rpc.New_meeting { two_party }) bool;
+      map (fun meeting -> Rpc.New_meeting { meeting }) i;
       map
         (fun ((meeting, participant), (egress_port, sends)) ->
           Rpc.Register_participant { meeting; participant; egress_port; sends })
@@ -315,7 +329,6 @@ let gen_base_reply =
   let open QCheck.Gen in
   oneof
     [
-      map (fun meeting -> Rpc.Meeting_created { meeting }) (int_bound 100_000);
       return Rpc.Ack;
       map (fun epoch -> Rpc.Pong { epoch }) (int_bound 1000);
       map (fun msg -> Rpc.Error msg) gen_error_msg;
@@ -362,14 +375,41 @@ let batch_executes_in_order_with_error_isolation () =
      error while ops 1-2 and 4 still execute, in list order *)
   match
     Scallop.Switch_agent.dispatch agent
-      (Rpc.Batch [ Rpc.New_meeting { two_party = false }; reg 1 0; reg 2 777; reg 3 0 ])
+      (Rpc.Batch [ Rpc.New_meeting { meeting = 5 }; reg 1 5; reg 2 777; reg 3 5 ])
   with
-  | Rpc.Batch_reply
-      [ Rpc.Meeting_created { meeting }; Rpc.Ack; Rpc.Error _; Rpc.Ack ] ->
+  | Rpc.Batch_reply [ Rpc.Ack; Rpc.Ack; Rpc.Error _; Rpc.Ack ] ->
       Alcotest.(check (list int))
         "ops around the failed slot landed" [ 1; 3 ]
-        (List.sort compare (Scallop.Switch_agent.meeting_members agent meeting))
-  | _ -> Alcotest.fail "expected [Meeting_created; Ack; Error; Ack]"
+        (List.sort compare (Scallop.Switch_agent.meeting_members agent 5))
+  | _ -> Alcotest.fail "expected [Ack; Ack; Error; Ack]"
+
+(* The controller chooses meeting ids, so the agent must refuse one it
+   already holds (a silent overwrite would drop the meeting's members
+   and leak its tree registration) and a negative one. *)
+let agent_rejects_bad_meeting_ids () =
+  let engine, _, rng, agent, _ = make_stack ~seed:22 () in
+  let client =
+    T.Client.connect engine (Rng.split rng)
+      ~local:(Addr.v (Addr.ip_of_string "10.255.0.9") 6633)
+      ~remote:(Addr.v (Addr.ip_of_string "10.0.0.1") 6633)
+      (Scallop.Switch_agent.rpc_server agent)
+  in
+  let call req = T.Client.call client req in
+  let is_error = function Ok (Rpc.Error _) -> true | _ -> false in
+  Alcotest.(check bool) "fresh id acked" true (call (Rpc.New_meeting { meeting = 3 }) = Ok Rpc.Ack);
+  Alcotest.(check bool) "member acked" true
+    (call (Rpc.Register_participant { meeting = 3; participant = 1; egress_port = 9; sends = false })
+    = Ok Rpc.Ack);
+  Alcotest.(check bool) "duplicate id refused" true
+    (is_error (call (Rpc.New_meeting { meeting = 3 })));
+  Alcotest.(check (list int)) "meeting kept its member" [ 1 ]
+    (Scallop.Switch_agent.meeting_members agent 3);
+  Alcotest.(check bool) "negative id refused" true
+    (is_error (call (Rpc.New_meeting { meeting = -1 })));
+  Alcotest.(check (list int)) "no meeting created" [ 3 ]
+    (List.map
+       (fun (v : Scallop.Switch_agent.meeting_view) -> v.Scallop.Switch_agent.amv_id)
+       (Scallop.Switch_agent.introspect agent))
 
 (* --- pipelining: submit fills the window, FIFO backlog drains -------------- *)
 
@@ -459,6 +499,8 @@ let () =
             batch_executes_in_order_with_error_isolation;
           Alcotest.test_case "batched churn == per-op churn" `Quick
             batched_churn_matches_per_op;
+          Alcotest.test_case "agent rejects bad meeting ids" `Quick
+            agent_rejects_bad_meeting_ids;
         ] );
       ( "controller",
         [
@@ -466,5 +508,9 @@ let () =
           Alcotest.test_case "ideal channel free" `Quick ideal_channel_is_free;
           Alcotest.test_case "lossy join same state" `Quick lossy_join_converges_to_same_state;
           Alcotest.test_case "dead channel error" `Quick dead_channel_surfaces_as_controller_error;
+          Alcotest.test_case "agent meeting id is a pure read" `Quick
+            agent_meeting_id_is_a_pure_read;
+          Alcotest.test_case "batched first join is one request" `Quick
+            batched_first_join_is_one_request;
         ] );
     ]
