@@ -141,7 +141,8 @@ let simulate_cmd =
                    power-cycle, one control partition and one degraded-control burst, \
                    spread disjointly over the run. Arms the controller's heartbeat \
                    failure detector; the run is extended past the last fault so every \
-                   repair (epoch-triggered resync or deferred-queue drain) completes. \
+                   repair (one Sync of controller intent, pushed by the first quiet \
+                   heartbeat after an outage or a drift) completes. \
                    Deterministic: the same seeds reproduce the identical run.")
   in
   let chaos_seed =
@@ -251,10 +252,7 @@ let simulate_cmd =
       List.iter
         (fun (e : Scallop.Controller.recovery_event) ->
           Printf.printf
-            "recovery: %s of sw%d — detected %.1f ms, recovered %.1f ms (%d RPCs)\n"
-            (match e.Scallop.Controller.re_kind with
-            | `Resync -> "resync"
-            | `Drain -> "drain")
+            "recovery: resync of sw%d — detected %.1f ms, recovered %.1f ms (%d RPCs)\n"
             e.Scallop.Controller.re_agent
             (float_of_int e.Scallop.Controller.re_detected_ns /. 1e6)
             (float_of_int e.Scallop.Controller.re_recovered_ns /. 1e6)
@@ -522,7 +520,7 @@ let check_cmd =
       (* kill mid-churn: intent so far is only in the journal; the rest of
          the workload runs against the promoted standby, whose state was
          rebuilt by replay (allocators included — the pids above stay
-         valid) and whose fenced resync re-owns both agents *)
+         valid) and whose fenced Sync re-owns both agents *)
       (match cluster with
       | Some cl ->
           Scallop.Cluster.kill_primary cl;

@@ -25,7 +25,6 @@ type kind =
   | Stale_pre_cache
   | Intent_drift
   | Shadow_drift
-  | Deferred_overflow
   | Split_brain
   | Journal_drift
 
@@ -62,7 +61,6 @@ let kind_name = function
   | Stale_pre_cache -> "stale-pre-cache"
   | Intent_drift -> "intent-drift"
   | Shadow_drift -> "shadow-drift"
-  | Deferred_overflow -> "deferred-overflow"
   | Split_brain -> "split-brain"
   | Journal_drift -> "journal-drift"
 
@@ -194,8 +192,9 @@ let warnf ctx layer kind subject fmt =
 let ports_str ports = String.concat "," (List.map string_of_int ports)
 
 (* A switch the controller's failure detector has declared Dead is
-   {e expected} to lag intent — mutations towards it are queued, not
-   applied, while its data plane keeps forwarding last-known state — so
+   {e expected} to lag intent — mutations towards it are not shipped
+   (the Sync that ends the outage carries them) while its data plane
+   keeps forwarding last-known state — so
    intent-coupled checks stand down for it until it heals. Switch-internal
    invariants (PRE structure, shadow vs ground truth, allocators) still
    apply: a partition must not corrupt anything. *)
@@ -915,24 +914,6 @@ let check_pre_cache ctx sw =
            discipline violated"
           mgid l1_xid rid l2_xid (Array.length replicas) (List.length fresh))
 
-(* --- failure-detector state --------------------------------------------------
-
-   Losing ops to the deferred-queue cap is tolerated (the heal path falls
-   back to a full resync) but worth surfacing: an operator seeing it should
-   raise the cap or shorten outages. Warning severity — [assert_clean]
-   gates on errors only, and a forced resync converges regardless. *)
-
-let check_health ctx snap =
-  List.iter
-    (fun (h : C.health_view) ->
-      if h.C.hv_dropped > 0 then
-        warnf ctx Controller Deferred_overflow
-          (Printf.sprintf "sw%d/deferred" h.C.hv_agent)
-          "deferred queue overflowed: %d op(s) dropped (%d still queued) — heal will \
-           use a full resync instead of a drain"
-          h.C.hv_dropped h.C.hv_deferred)
-    snap.snap_intent.C.in_health
-
 (* --- entry points ------------------------------------------------------------ *)
 
 let check ?(totals = R.tofino2) snap =
@@ -952,7 +933,6 @@ let check ?(totals = R.tofino2) snap =
       check_shadow ctx sw)
     snap.snap_switches;
   check_intent ctx snap;
-  check_health ctx snap;
   List.rev ctx.acc
 
 let verify ?totals ctrl = check ?totals (snapshot ctrl)
@@ -989,8 +969,8 @@ let assert_clean ?(what = "state verification") ctrl =
 
 (* --- anti-entropy -------------------------------------------------------------
 
-   Periodic reconciliation: verify, replay intent onto every reachable
-   switch an error finding implicates, verify again. Per-switch finding
+   Periodic reconciliation: verify, push a Sync of intent at every
+   reachable switch an error finding implicates, verify again. Per-switch finding
    subjects follow the ["sw<idx>/..."] convention, which is how a finding
    names its repair target; controller-only findings (bad member records)
    have no switch to repair and are left to surface. *)

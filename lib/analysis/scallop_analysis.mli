@@ -59,10 +59,6 @@ type kind =
           flush-on-mutation discipline was bypassed *)
   | Intent_drift  (** controller intent vs agent shadow mismatch *)
   | Shadow_drift  (** agent shadow vs data-plane ground truth mismatch *)
-  | Deferred_overflow
-      (** the controller's deferred-op queue for a Dead switch hit its
-          cap and dropped ops (Warning: the heal path compensates with a
-          full resync, but the operator should know) *)
   | Split_brain
       (** two live controller instances both hold the Acting role — the
           fencing protocol failed to depose the old primary *)
@@ -178,23 +174,23 @@ val assert_clean : ?what:string -> Scallop.Controller.t -> unit
     {!Scallop.Controller.resync_switch} repair primitive. Switches the
     failure detector currently marks Dead are exempt both from
     intent-coupled checks (their drift is the failure model working —
-    the data plane keeps forwarding last-known state while ops queue)
-    and from repair (they are unreachable; their heal path replays
-    intent anyway). *)
+    the data plane keeps forwarding last-known state while intent moves
+    on) and from repair (they are unreachable; the Sync that ends their
+    outage carries intent anyway). *)
 
 type repair_report = {
   rr_before : finding list;  (** what the first verification found *)
   rr_repairs : (int * int option) list;
-      (** (switch, RPCs issued) per resync; [None] when the switch went
-          Dead mid-replay *)
+      (** (switch, RPCs issued) per Sync; [None] when the switch went
+          Dead instead of acknowledging it *)
   rr_after : finding list;  (** the re-verification after repairs *)
 }
 
 val reconcile :
   ?totals:Tofino.Resources.totals -> Scallop.Controller.t -> repair_report
-(** Verify; resync every reachable switch implicated in an error finding
-    (subjects of the form ["sw<idx>/..."]) from controller intent;
-    verify again. With no error findings (or none naming a reachable
+(** Verify; push a Sync of controller intent at every reachable switch
+    implicated in an error finding (subjects of the form
+    ["sw<idx>/..."]); verify again. With no error findings (or none naming a reachable
     switch) nothing is repaired and [rr_after == rr_before]. *)
 
 (** {1 Controller cluster invariants} *)

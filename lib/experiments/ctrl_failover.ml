@@ -138,7 +138,7 @@ let run ?quick () =
   Table.print table;
   Printf.printf
     "Takeover is detection-bound: promote latency sits at ~2 beat intervals for every\n\
-     journal size, because the standby tails continuously and only fences + resyncs on\n\
+     journal size, because the standby tails continuously and only fences + Syncs on\n\
      promotion. The crash-rebuild replay suffix grows with total churn when compaction\n\
      is off, but stays under the compaction cadence when the standby snapshots — the\n\
      journal's disk footprint and a cold restart's work are both bounded.\n\n"

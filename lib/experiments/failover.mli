@@ -4,18 +4,17 @@
     mid-outage.
 
     Measures, all in virtual time: detection→recovery latency per repair
-    (a full intent resync after the reboot, a deferred-queue drain after
-    the partition), media continuity through the partition (egress
+    (one Sync of intent after the reboot, and one after the partition),
+    media continuity through the partition (egress
     replicas emitted while control is severed), and a full
     {!Scallop_analysis} verification after the last heal, which must be
     error-free. *)
 
 type recovery = {
-  kind : string;  (** ["resync"] or ["drain"] *)
   detected_ms : float;  (** when the failure detector declared Dead *)
   recovered_ms : float;  (** when the repair committed *)
   latency_ms : float;
-  ops : int;  (** RPCs the repair took *)
+  ops : int;  (** Sync RPCs the repair took *)
 }
 
 type result = {
@@ -23,7 +22,6 @@ type result = {
   recoveries : recovery list;  (** oldest first *)
   partition_egress : (int * int) list;
       (** (partition start ns, egress replicas during the outage) *)
-  deferred_drained : int;  (** peak ops queued against a Dead switch *)
   findings_after : Scallop_analysis.finding list;  (** post-recovery verify *)
 }
 

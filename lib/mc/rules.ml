@@ -2,8 +2,7 @@
    per run (closures carry mutable state). Event vocabulary: see the
    instrumentation in Rpc_transport.Server.deliver ("rpc_exec"),
    Switch_agent ("member_add/del", "batch_*", "agent_crash/restart") and
-   Controller ("op_defer/op_drained/defer_drop/defer_discard",
-   "heal_begin/heal_done", "hb_*", "agent_dead").
+   Controller ("heal_begin", "resync", "hb_*", "agent_dead", "ctrl_*").
 
    Two namespaces identify agents: server-side events carry the
    data-plane label ("sw0"), controller-side events carry the switch
@@ -67,11 +66,8 @@ let exactly_once_wire () =
 
 (* R2 — effect-level exactly-once: registering a participant must never
    leave it in the member list twice. Scoped to agents that have
-   restarted: that is the heal-race signature (a resync replays intent,
-   then a straddling retransmit re-executes on the healed agent). A
-   duplicate on a never-restarted agent is the documented drain hazard —
-   a deferred op re-issued after its original's reply was lost — which
-   the anti-entropy reconcile pass repairs. *)
+   restarted: that is the heal-race signature (a Sync installs intent,
+   then a straddling retransmit re-executes on the rebooted agent). *)
 let exactly_once_effect () =
   let restarted : (string, unit) Hashtbl.t = Hashtbl.create 4 in
   make ~name:"exactly-once-effect"
@@ -93,7 +89,7 @@ let exactly_once_effect () =
               v_detail =
                 Printf.sprintf
                   "agent %s: participant %d added to meeting %d with \
-                   multiplicity %d after a restart — a resync replay and a \
+                   multiplicity %d after a restart — a Sync and a \
                    straddling retransmit both executed the join"
                   a
                   (req "participant" (arg_i ev "participant"))
@@ -265,66 +261,55 @@ let batch_order () =
       else [])
     ~final:(fun ~now:_ -> [])
 
-(* R6 — deferred ops eventually drain: at end of run the deferred queue
-   must be empty unless the switch is still marked dead (the run ended
-   mid-outage). A liveness rule: ops may sit queued transiently — even
-   across a heal_done, when they were deferred during the heal itself —
-   but a healthy end state with a non-empty queue means they were
-   forgotten. Uses the depth/n args as the authoritative counter. *)
-let deferred_drain () =
-  let depth : (int, int * int) Hashtbl.t = Hashtbl.create 4 in
-  (* idx -> (outstanding, last defer event) *)
-  let dead : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  make ~name:"deferred-drain"
+(* R6 — Sync converges: a switch must not end the run healthy while the
+   last pong its acting controller took on a quiet channel said its
+   registrations differ from intent. Such a pong pushes a Sync, which
+   ends in resync (the agent acknowledged it) or agent_dead (the switch
+   failed); a later in-sync pong also clears it. A killed or deposed
+   controller's view no longer counts. *)
+let sync_converges () =
+  let drifted : (string * int, int) Hashtbl.t = Hashtbl.create 4 in
+  (* (ctrl, switch) -> event index of the out-of-sync pong *)
+  let ctrl ev = Option.value ~default:"ctl" (arg_s ev "ctrl") in
+  make ~name:"sync-converges"
     ~doc:
-      "ops deferred for a dead switch eventually drain (or are discarded \
-       by a full resync): a healthy switch must not end the run with ops \
-       still queued"
+      "a switch whose quiet-channel pong showed drift from intent is \
+       brought back in sync (or declared dead) before the run ends"
     ~step:(fun ~idx ev ->
-      if is ev "op_defer" then begin
-        Hashtbl.replace depth (agent_i ev) (req "depth" (arg_i ev "depth"), idx);
+      if is ev "hb_pong" then begin
+        (match arg_s ev "in_sync" with
+        | Some "false" -> Hashtbl.replace drifted (ctrl ev, agent_i ev) idx
+        | Some _ -> Hashtbl.remove drifted (ctrl ev, agent_i ev)
+        | None -> ());
         []
       end
-      else if is ev "op_drained" then begin
-        let a = agent_i ev in
-        let _, at =
-          Option.value ~default:(0, idx) (Hashtbl.find_opt depth a)
-        in
-        Hashtbl.replace depth a (req "depth" (arg_i ev "depth"), at);
+      else if is ev "resync" || is ev "agent_dead" then begin
+        Hashtbl.remove drifted (ctrl ev, agent_i ev);
         []
       end
-      else if is ev "defer_discard" then begin
-        Hashtbl.remove depth (agent_i ev);
-        []
-      end
-      else if is ev "agent_dead" then begin
-        Hashtbl.replace dead (agent_i ev) ();
-        []
-      end
-      else if is ev "heal_done" then begin
-        (* ops deferred during the heal itself may still be queued here;
-           they must drain before the run ends (checked in [final]) *)
-        Hashtbl.remove dead (agent_i ev);
+      else if is ev "ctrl_kill" || is ev "ctrl_deposed" then begin
+        let c = ctrl ev in
+        Hashtbl.filter_map_inplace
+          (fun (c', _) at -> if c' = c then None else Some at)
+          drifted;
         []
       end
       else [])
     ~final:(fun ~now ->
       Hashtbl.fold
-        (fun a (d, at) acc ->
-          if d > 0 && not (Hashtbl.mem dead a) then
-            {
-              v_rule = "deferred-drain";
-              v_detail =
-                Printf.sprintf
-                  "switch %d ended the run healthy with %d deferred op(s) \
-                   never drained"
-                  a d;
-              v_ts = now;
-              v_events = [ at ];
-            }
-            :: acc
-          else acc)
-        depth []
+        (fun (c, a) at acc ->
+          {
+            v_rule = "sync-converges";
+            v_detail =
+              Printf.sprintf
+                "switch %d ended the run healthy although %s's last quiet pong \
+                 showed its registrations differ from intent"
+                a c;
+            v_ts = now;
+            v_events = [ at ];
+          }
+          :: acc)
+        drifted []
       |> List.sort (fun a b -> compare a.v_events b.v_events))
 
 (* R7 — heartbeat liveness: while health monitoring runs, ticks arrive
@@ -484,7 +469,7 @@ let fence_monotone () =
 (* R11 — no op from a deposed epoch ever executes: once an agent accepts
    a fenced op under epoch f, it must reject (Stale_fence) anything
    fenced below f. Scoped per agent boot — a restarted agent forgets its
-   fence (by design) and the acting primary's first fenced resync
+   fence (by design) and the acting primary's next fenced request
    re-installs it. A fresh execution (replayed=false) that was not
    rejected and carries a fence below the agent's high-water mark is the
    split-brain signature the skip-fencing-check mutation plants. *)
@@ -548,7 +533,7 @@ let all () =
     epoch_monotone ();
     no_exec_while_crashed ();
     batch_order ();
-    deferred_drain ();
+    sync_converges ();
     hb_liveness ();
     replay_identical ();
     quiet_heal ();

@@ -1,6 +1,6 @@
 (** The control-plane protocol contract, shipped as data.
 
-    Nine temporal rules over the {!Scallop_obs.Trace} event stream (trace
+    Eleven temporal rules over the {!Scallop_obs.Trace} event stream (trace
     level [Rpc] or higher must be active for the events to exist):
 
     - {b exactly-once-wire} — no (client, seq) executes twice with
@@ -14,14 +14,18 @@
       it restarts.
     - {b batch-order} — batched ops run in submission order, each exactly
       once, per-op errors isolated.
-    - {b deferred-drain} — ops deferred for a dead switch eventually
-      drain (or are discarded by resync): a switch must not end the run
-      healthy with ops still queued.
+    - {b sync-converges} — a switch whose last quiet-channel pong showed
+      its registrations differ from intent must not end the run healthy
+      unless a Sync was acknowledged since (or a later pong was in sync).
     - {b hb-liveness} — heartbeat ticks keep firing while monitoring runs.
     - {b replay-identical} — cache-served replies are byte-identical to
       the original (digest compare).
     - {b quiet-heal} — no heal begins while a call is in flight on the
       channel.
+    - {b fence-monotone} — controller activations mint strictly
+      increasing fencing epochs.
+    - {b no-deposed-exec} — within one boot, an agent never executes an
+      op fenced below a fence it already accepted.
 
     Each call builds fresh rule instances (they carry per-run mutable
     state) — never share a list across runs. *)
@@ -31,10 +35,12 @@ val exactly_once_effect : unit -> Temporal.rule
 val epoch_monotone : unit -> Temporal.rule
 val no_exec_while_crashed : unit -> Temporal.rule
 val batch_order : unit -> Temporal.rule
-val deferred_drain : unit -> Temporal.rule
+val sync_converges : unit -> Temporal.rule
 val hb_liveness : unit -> Temporal.rule
 val replay_identical : unit -> Temporal.rule
 val quiet_heal : unit -> Temporal.rule
+val fence_monotone : unit -> Temporal.rule
+val no_deposed_exec : unit -> Temporal.rule
 
 val all : unit -> Temporal.rule list
 (** Fresh instances of the full catalogue, in the order above. *)

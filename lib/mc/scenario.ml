@@ -289,8 +289,8 @@ let run ?(config = default) ?on_event ~forced () =
         let findings =
           if cfg.sc_reconcile then
             (* the anti-entropy pass is part of the protocol: residual
-               drift it repairs (e.g. a drain-path double-execute) is
-               tolerated by design; what survives it is a real defect *)
+               drift it repairs is tolerated by design; what survives it
+               is a real defect *)
             (An.reconcile ep).An.rr_after
           else An.verify ep
         in

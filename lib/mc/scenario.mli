@@ -5,7 +5,7 @@
     meeting (2 senders) on a single batched switch, two quality pins and
     a late join at fixed virtual times — because that is the smallest
     workload known to exercise every control-plane path (batch flush,
-    defer, resync, drain). Nondeterminism is injected at three kinds of
+    failure, Sync repair). Nondeterminism is injected at three kinds of
     choice point, all funneled through one {!Choice.t}:
 
     - {b faults}: a crash/restart/nothing decision on a fixed grid of

@@ -30,8 +30,8 @@ type participant = {
   mutable screen_recv_conns : (participant_id * Client.connection) list;
 }
 
-(* Everything needed to re-issue one Register_leg verbatim during a
-   resync. Recorded at leg creation because the values (allocated SFU
+(* Everything needed to re-issue one Register_leg verbatim in a Sync.
+   Recorded at leg creation because the values (allocated SFU
    ports, the receiver connection's address) exist nowhere else in
    controller state once the original RPC has been sent. *)
 type leg_intent = {
@@ -62,10 +62,11 @@ type meeting = {
 
    Per-agent health is a three-state machine driven by heartbeat probes:
    Healthy -(missed probes)-> Suspect -(more)-> Dead -(pong)-> Healthy.
-   While an agent is Dead its session mutations are queued (bounded,
-   oldest dropped first); a pong carrying the known epoch drains the
-   queue in order, a pong with a new epoch means the agent rebooted
-   blank and triggers a full intent replay instead. *)
+   Recovery has one input, controller intent: an op aimed at a Dead
+   switch is not shipped (intent already holds it), and a pong that ends
+   an outage, or whose digest shows the agent's registrations drifted
+   from intent, pushes one [Rpc.Sync] carrying the switch's whole
+   desired state. *)
 
 type agent_health = Healthy | Suspect | Dead
 
@@ -74,7 +75,6 @@ type health_config = {
   probe_timeout_ns : int;
   suspect_after : int;  (** consecutive missed probes before Suspect *)
   dead_after : int;  (** consecutive missed probes before Dead *)
-  deferred_cap : int;  (** max ops queued per Dead agent *)
 }
 
 let default_health_config =
@@ -83,29 +83,20 @@ let default_health_config =
     probe_timeout_ns = Engine.ms 250;
     suspect_after = 2;
     dead_after = 4;
-    deferred_cap = 256;
   }
 
 type recovery_event = {
   re_agent : int;
-  re_kind : [ `Resync | `Drain ];
-  re_detected_ns : int;  (** when the agent was declared Dead *)
-  re_recovered_ns : int;  (** when replay/drain finished *)
-  re_ops : int;  (** RPCs it took *)
+  re_detected_ns : int;  (** when the outage or drift was detected *)
+  re_recovered_ns : int;  (** when the switch acknowledged the Sync *)
+  re_ops : int;  (** Sync RPCs it took *)
 }
 
 type agent_state = {
   mutable ah : agent_health;
-  mutable ah_epoch : int;  (** last epoch seen in a Pong; -1 before the first *)
   mutable ah_missed : int;  (** consecutive missed probes *)
   mutable ah_detected_ns : int;
-  mutable ah_healing : bool;  (** a resync/drain is in flight; ignore probe results *)
-  mutable ah_observed : int;
-      (** latest epoch any pong carried, tracked even while a heal is in
-          flight — a change mid-resync means the agent rebooted under the
-          replay and the resync must abort *)
-  ah_deferred : Rpc.request Queue.t;
-  mutable ah_dropped : int;  (** ops lost to the cap since the last replay *)
+  mutable ah_syncs : int;  (** Syncs pushed since the last acknowledged one *)
   ah_gauge : Metrics.gauge;
   ah_transitions : Metrics.counter array;
       (** detector transitions into each state, indexed by
@@ -118,13 +109,11 @@ type health_state = {
   hs_agents : agent_state array;
   mutable hs_started : bool;
       (** {!start_health} was called at least once: from then on a failed
-          op marks its switch Dead and is deferred instead of raising *)
+          op marks its switch Dead instead of raising *)
   mutable hs_running : bool;
   hb_sent : Metrics.counter;
   hb_missed : Metrics.counter;
-  hs_resync_full : Metrics.counter;
-  hs_repair_ops : Metrics.counter;
-  hs_deferred : Metrics.gauge;
+  hs_syncs : Metrics.counter;
   mutable hs_recovery : recovery_event list;  (** newest first *)
   hs_recovery_dropped : Metrics.counter;
       (** recovery events pushed out of the bounded ring *)
@@ -223,13 +212,9 @@ let create_health ~label n =
     let labels = [ ("agent", switch_label label idx) ] in
     {
       ah = Healthy;
-      ah_epoch = -1;
       ah_missed = 0;
       ah_detected_ns = 0;
-      ah_healing = false;
-      ah_observed = -1;
-      ah_deferred = Queue.create ();
-      ah_dropped = 0;
+      ah_syncs = 0;
       ah_gauge =
         Metrics.gauge ~labels
           ~help:"Failure-detector state (0 healthy, 1 suspect, 2 dead)"
@@ -250,13 +235,7 @@ let create_health ~label n =
     hs_running = false;
     hb_sent = counter "Heartbeat probes sent" "scallop_ctrl_heartbeat_sent";
     hb_missed = counter "Heartbeat probes that timed out" "scallop_ctrl_heartbeat_missed";
-    hs_resync_full = counter "Full intent replays onto a switch" "scallop_ctrl_resync_full";
-    hs_repair_ops =
-      counter "RPCs issued by resyncs and deferred-queue drains"
-        "scallop_ctrl_resync_repair_ops";
-    hs_deferred =
-      Metrics.gauge ~labels:instance ~help:"Ops currently queued for Dead switches"
-        "scallop_ctrl_deferred_ops";
+    hs_syncs = counter "Sync repairs a switch acknowledged" "scallop_ctrl_resync_full";
     hs_recovery = [];
     hs_recovery_dropped =
       counter "Recovery events evicted from the bounded log"
@@ -449,20 +428,10 @@ let create_meeting t =
    mode flushes at the end of each public operation ({!flush_buffers}).
    A failed op either raises ([Rpc_transport.Timed_out] for a dead
    channel, [Invalid_argument] for an [Error] reply) or, once the failure
-   detector has been started, marks the switch Dead and is queued for
-   the heal ({!agent_failed} is where the two contracts part). *)
-
-(* A switch mid-heal must not take new direct ops either: the resync or
-   drain in flight is replaying controller intent, and a straddling
-   direct op races that replay — double-executing its effect (the member
-   shows up from both the direct call and the intent replay) or
-   colliding with half-replayed agent bookkeeping. Ops arriving while a
-   heal is in flight are deferred like ops for a dead switch; a
-   successful resync then discards them as covered by the replayed
-   intent, and a drain re-issues them in order. *)
-let unavailable t idx =
-  let a = t.health.hs_agents.(idx) in
-  a.ah = Dead || a.ah_healing
+   detector has been started, marks the switch Dead ({!agent_failed} is
+   where the two contracts part). Nothing is queued for a Dead switch:
+   the Sync that ends its outage carries intent, which already holds
+   every op it missed. *)
 
 let set_agent_health t idx st =
   let a = t.health.hs_agents.(idx) in
@@ -470,57 +439,23 @@ let set_agent_health t idx st =
   a.ah <- st;
   Metrics.set a.ah_gauge (float_of_int (health_rank st))
 
-let refresh_deferred_gauge t =
-  let h = t.health in
-  let depth =
-    Array.fold_left (fun acc a -> acc + Queue.length a.ah_deferred) 0 h.hs_agents
-  in
-  Metrics.set h.hs_deferred (float_of_int depth)
-
 let mark_dead t idx =
   let a = t.health.hs_agents.(idx) in
   if a.ah <> Dead then begin
-    a.ah_detected_ns <- Engine.now t.engine;
+    (* a repair that fails keeps the detection time of its outage *)
+    if a.ah_syncs = 0 then a.ah_detected_ns <- Engine.now t.engine;
     set_agent_health t idx Dead;
     if Trace.enabled Trace.Rpc then
       Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "agent_dead"
         ~args:[ ctrl_arg t; ("agent", Trace.I idx) ]
   end
 
-(* An op that failed (or found its switch unavailable) waits here for
-   the heal. *)
-let push_deferred t idx op =
-  let h = t.health in
-  let a = h.hs_agents.(idx) in
-  Queue.push op a.ah_deferred;
-  let overflowed = Queue.length a.ah_deferred > h.hc.deferred_cap in
-  if overflowed then begin
-    (* oldest-first drop: the queue keeps the most recent intent; the
-       hole it leaves forces a full resync instead of a drain on heal *)
-    ignore (Queue.pop a.ah_deferred);
-    a.ah_dropped <- a.ah_dropped + 1
-  end;
-  if Trace.enabled Trace.Rpc then begin
-    Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "op_defer"
-      ~args:
-        [
-          ctrl_arg t;
-          ("agent", Trace.I idx);
-          ("depth", Trace.I (Queue.length a.ah_deferred));
-        ];
-    if overflowed then
-      Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "defer_drop"
-        ~args:[ ctrl_arg t; ("agent", Trace.I idx) ]
-  end;
-  refresh_deferred_gauge t
-
 (* Switch [idx] failed an op: a dead channel, or an [Error] reply from an
    agent that should know the state we installed — it answered from a
    fresh boot (a restart raced an in-flight call, so we saw the reply
-   before any Pong carried the new epoch) or has otherwise drifted.
+   before any Pong showed the blank shadow) or has otherwise drifted.
    Before the detector was ever started, [raise_] surfaces the failure;
-   after, the switch is declared Dead and the caller keeps the op — the
-   next heartbeat decides between a drain and a full replay. *)
+   after, the switch is declared Dead and its next pong pushes a Sync. *)
 let agent_failed t idx ~raise_ =
   if t.health.hs_started then mark_dead t idx else raise_ ()
 
@@ -542,15 +477,37 @@ let call t idx req =
       agent_failed t idx ~raise_:(fun () -> raise_timed_out req err);
       None
 
+let record_recovery t idx =
+  let h = t.health in
+  let a = h.hs_agents.(idx) in
+  let ops = a.ah_syncs in
+  a.ah_syncs <- 0;
+  Metrics.incr h.hs_syncs;
+  h.hs_recovery <-
+    {
+      re_agent = idx;
+      re_detected_ns = a.ah_detected_ns;
+      re_recovered_ns = Engine.now t.engine;
+      re_ops = ops;
+    }
+    :: h.hs_recovery;
+  if List.length h.hs_recovery > recovery_log_cap then begin
+    h.hs_recovery <- List.filteri (fun i _ -> i < recovery_log_cap) h.hs_recovery;
+    Metrics.incr h.hs_recovery_dropped
+  end;
+  if Trace.enabled Trace.Rpc then
+    Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "resync"
+      ~args:[ ctrl_arg t; ("agent", Trace.I idx); ("ops", Trace.I ops) ]
+
 (* Ship [ops] (in order) to switch [idx] in one call and settle each
-   op's reply. Unavailable switch, dead channel or [Error] slot: the op
-   is deferred (see {!agent_failed}). *)
+   op's reply. A Dead switch is skipped; a dead channel or an [Error]
+   slot fails the switch (see {!agent_failed}); an acknowledged Sync
+   completes a repair. *)
 let ship_ops t idx ops =
-  if unavailable t idx then List.iter (push_deferred t idx) ops
-  else
+  if t.health.hs_agents.(idx).ah <> Dead then
     let req = match ops with [ op ] -> op | ops -> Rpc.Batch ops in
     match call t idx req with
-    | None -> List.iter (push_deferred t idx) ops
+    | None -> ()
     | Some reply ->
         let replies =
           match (reply, ops) with
@@ -560,12 +517,11 @@ let ship_ops t idx ops =
         in
         List.iter2
           (fun op reply ->
-            match reply with
-            | Rpc.Ack -> ()
-            | Rpc.Error msg ->
-                agent_failed t idx ~raise_:(fun () -> invalid_arg msg);
-                push_deferred t idx op
-            | Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _ ->
+            match (reply, op) with
+            | Rpc.Ack, Rpc.Sync _ -> record_recovery t idx
+            | Rpc.Ack, _ -> ()
+            | Rpc.Error msg, _ -> agent_failed t idx ~raise_:(fun () -> invalid_arg msg)
+            | (Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _), _ ->
                 invalid_arg
                   (Printf.sprintf "Controller: unexpected reply to %s"
                      (Rpc.request_name op)))
@@ -574,9 +530,8 @@ let ship_ops t idx ops =
 (* Ship everything buffered for switch [idx]. The buffer drains FIFO, so
    agent-side execution order equals buffering order; ops buffered while
    the call was in flight go out next. The [flushing] guard breaks
-   reentrancy: the blocking call pumps the engine, where a
-   heartbeat-triggered resync can land on this same agent and come back
-   through {!call_reply}. *)
+   reentrancy: the blocking call pumps the engine, where a heartbeat can
+   push a Sync for this same agent; it waits behind the call. *)
 let flush_agent t idx =
   let buf = t.buffers.(idx) in
   if not (Queue.is_empty buf || t.flushing.(idx)) then begin
@@ -591,12 +546,6 @@ let flush_agent t idx =
         done)
   end
 
-(* A direct call for the heal paths; flushing first means it can never
-   overtake ops buffered before it. *)
-let call_reply t idx req =
-  flush_agent t idx;
-  call t idx req
-
 (* Flush every per-agent buffer — the operation-boundary hook: public
    session mutations call this before returning, so in batched mode one
    [join]/[leave]/share change becomes one call per touched switch. *)
@@ -606,7 +555,7 @@ let flush_buffers t = Array.iteri (fun idx _ -> flush_agent t idx) t.rpcs
    is always updated by the caller regardless — the buffer only carries
    the wire side, so a leave or target change against an unreachable
    switch never raises and never forks controller state. A journal
-   replay skips the wire: the agents' state is the promotion resync's
+   replay skips the wire: the agents' state is the promotion Sync's
    concern. *)
 let push_op t idx req =
   if not t.recovering then begin
@@ -1180,314 +1129,164 @@ let switch_agent t idx =
 
 (* --- failure recovery --------------------------------------------------------
 
-   Two repair paths bring a switch back in line with controller intent:
+   One level-triggered mechanism brings a switch back in line with
+   intent: a Sync carrying the switch's whole desired state — per
+   meeting with a site there (sorted by id) [New_meeting], members in
+   join order then relay pseudo receivers by destination, uplinks
+   (camera then screen per member), legs in creation order, pair pins.
+   The agent diffs it against its shadow, so the same message repairs a
+   rebooted blank agent, a partitioned one that missed ops, and a
+   live-but-drifted one, and leaves matching state running. *)
 
-   - {b resync}: [Reset] the agent, then replay every meeting that has a
-     site there from scratch — New_meeting, participants (members first,
-     relay pseudo receivers after), uplinks (camera then screen per
-     member), legs in creation order, pair targets. Because it starts
-     from a wipe it converges from {e any} agent state: a post-reboot
-     blank slate, a drift the verifier found, or a deferred queue that
-     overflowed and lost ops.
+(* An egress port already allocated under [key] (-1 if none). A pure
+   lookup: allocating while reading intent would fork the allocator from
+   a journal replay. *)
+let allocated_port t key = Option.value ~default:(-1) (Hashtbl.find_opt t.egress_ports key)
 
-   - {b drain}: the switch was merely unreachable (same epoch in its
-     Pong) and its state is intact, so the ops queued while it was Dead
-     are re-issued in order.
+(* The egress port participant [p] is registered under on switch [idx]:
+   its own on the home switch, the relay-feeding site port elsewhere. *)
+let site_port t (p : participant) idx =
+  if idx = p.home then p.egress_port else allocated_port t (sender_site_key p.pid idx)
 
-   Both run inside blocking RPCs that pump the engine, so probe results
-   for the agent being repaired are suppressed ([ah_healing]) until the
-   repair commits or aborts. *)
-
-exception Resync_aborted
-
-let resync t idx =
-  let t0 = Engine.now t.engine in
-  let ops = ref 0 in
-  (* An [Error] reply mid-resync means the agent crashed and restarted
-     again while one of our ops was in flight: the retransmit landed on
-     a blank next-epoch agent that legitimately rejects ops against the
-     wiped state. Abort — the switch is marked Dead and the next pong
-     carries the bumped epoch, triggering a fresh replay from intent.
-     (Schedule that hits this: drop an op's first transmission, crash
-     the agent before the retransmit, restart it before the retry
-     ladder gives up.) Without a failure detector there is no retry
-     path, so the error is raised instead. *)
-  let error_reply msg =
-    agent_failed t idx ~raise_:(fun () -> invalid_arg ("Controller.resync: " ^ msg));
-    raise Resync_aborted
-  in
-  (* A replay is only meaningful against the epoch it started healing.
-     Each blocking op pumps the engine, where heartbeat pongs keep
-     landing; if one carries a newer epoch the agent rebooted under the
-     replay — everything installed so far is gone, and blindly
-     continuing would race any straddling retransmits against the
-     half-replayed blank state. Abort; the next pong restarts a full
-     heal, and the quiet-channel rule holds it back until the stragglers
-     settle. *)
-  let observed () = t.health.hs_agents.(idx).ah_observed in
-  let epoch0 = observed () in
-  let check_epoch () =
-    if observed () <> epoch0 then
-      error_reply "agent rebooted mid-replay (newer epoch observed)"
-  in
-  let send req =
-    incr ops;
-    match call_reply t idx req with
-    | Some Rpc.Ack -> check_epoch ()
-    | Some (Rpc.Error msg) -> error_reply msg
-    | Some (Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
-        invalid_arg
-          (Printf.sprintf "Controller.resync: unexpected reply to %s"
-             (Rpc.request_name req))
-    | None -> raise Resync_aborted
-  in
-  let replay_meeting m =
-    if List.mem idx m.sites then begin
-      send (Rpc.New_meeting { meeting = m.mid });
-      (* participants registered on this switch, in join order; a sender
-         on a non-home switch is there to feed a relay uplink *)
-      List.iter
+let sync_ops t idx =
+  let meeting_ops m =
+    let members =
+      List.filter_map
         (fun pid ->
           let p = find_participant t pid in
           if List.mem idx p.sites then
-            let egress_port =
-              if idx = p.home then p.egress_port
-              else egress_port_of t (sender_site_key pid idx)
-            in
-            let sends = if idx = p.home then p.sends else true in
-            send
+            Some
               (Rpc.Register_participant
-                 { meeting = m.mid; participant = pid; egress_port; sends }))
-        m.members;
-      (* relay pseudo receivers this switch fans out to, by destination *)
+                 {
+                   meeting = m.mid;
+                   participant = pid;
+                   egress_port = site_port t p idx;
+                   (* a sender on a non-home switch is there to feed a relay *)
+                   sends = idx <> p.home || p.sends;
+                 })
+          else None)
+        m.members
+    in
+    let relays =
       Hashtbl.fold
         (fun (mid, src, dst) () acc ->
           if mid = m.mid && src = idx then dst :: acc else acc)
         t.relay_receivers []
       |> List.sort compare
-      |> List.iter (fun dst ->
-             let egress_port = egress_port_of t (relay_site_key m.mid dst) in
-             send
-               (Rpc.Register_participant
-                  { meeting = m.mid; participant = relay_pid dst; egress_port; sends = false }));
-      (* uplinks: camera then screen per member, in join order *)
-      List.iter
+      |> List.map (fun dst ->
+             Rpc.Register_participant
+               {
+                 meeting = m.mid;
+                 participant = relay_pid dst;
+                 egress_port = allocated_port t (relay_site_key m.mid dst);
+                 sends = false;
+               })
+    in
+    let uplinks =
+      List.concat_map
         (fun pid ->
           let p = find_participant t pid in
-          List.iter
+          List.filter_map
             (fun kind ->
-              match List.assoc_opt idx (stream_ports p kind) with
-              | None -> ()
-              | Some port ->
+              Option.map
+                (fun port ->
                   let renditions =
                     if kind = Camera && idx = p.home then p.renditions else [||]
                   in
-                  send (uplink_request m p kind ~port ~renditions))
+                  uplink_request m p kind ~port ~renditions)
+                (List.assoc_opt idx (stream_ports p kind)))
             [ Camera; Screen ])
-        m.members;
-      (* legs in creation order *)
-      List.iter (fun li -> if li.li_idx = idx then send (leg_request m li)) m.leg_intents;
-      (* forced pair targets whose receiver leg lives here *)
+        m.members
+    in
+    let legs =
+      List.filter_map
+        (fun li -> if li.li_idx = idx then Some (leg_request m li) else None)
+        m.leg_intents
+    in
+    let pins =
       List.sort compare m.pair_targets
-      |> List.iter (fun ((sender, receiver), target) ->
+      |> List.filter_map (fun ((sender, receiver), target) ->
              match Hashtbl.find_opt t.participants receiver with
              | Some r when r.home = idx ->
-                 send (Rpc.Set_pair_target { meeting = m.mid; sender; receiver; target })
-             | Some _ | None -> ())
-    end
+                 Some (Rpc.Set_pair_target { meeting = m.mid; sender; receiver; target })
+             | Some _ | None -> None)
+    in
+    (Rpc.New_meeting { meeting = m.mid } :: members) @ relays @ uplinks @ legs @ pins
   in
-  try
-    send Rpc.Reset;
-    Hashtbl.fold (fun _ m acc -> m :: acc) t.meetings []
-    |> List.sort (fun a b -> compare a.mid b.mid)
-    |> List.iter replay_meeting;
-    if Trace.enabled Trace.Rpc then
-      Trace.complete ~ts:t0 ~dur:(Engine.now t.engine - t0) ~cat:"ctrl" "resync"
-        ~args:[ ctrl_arg t; ("agent", Trace.I idx); ("ops", Trace.I !ops) ];
-    Some !ops
-  with Resync_aborted -> None
+  Hashtbl.fold
+    (fun _ m acc -> if List.mem idx m.sites then m :: acc else acc)
+    t.meetings []
+  |> List.sort (fun a b -> compare a.mid b.mid)
+  |> List.concat_map meeting_ops
 
-(* Re-issue queued ops in order. Stops (keeping the rest queued) if the
-   switch dies again. A queued op re-issued under a fresh sequence number
-   can double-execute when the original's reply was lost in the partition;
-   the agent answers those with [Error], which the drain tolerates — the
-   anti-entropy reconcile pass is what repairs any residual drift. *)
-let drain_deferred t idx =
+let intent_digest t idx =
+  check_switch "intent_digest" t idx;
+  Rpc.digest (sync_ops t idx)
+
+(* Start a repair of switch [idx]: the switch counts as Healthy from
+   here on, so ops issued while the Sync is on the wire ship behind it
+   instead of being skipped. *)
+let begin_sync t idx =
   let a = t.health.hs_agents.(idx) in
-  let ops = ref 0 in
-  let alive = ref true in
-  while !alive && not (Queue.is_empty a.ah_deferred) do
-    incr ops;
-    match call_reply t idx (Queue.peek a.ah_deferred) with
-    | Some (Rpc.Ack | Rpc.Error _) ->
-        ignore (Queue.pop a.ah_deferred);
-        if Trace.enabled Trace.Rpc then
-          Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "op_drained"
-            ~args:
-              [
-                ctrl_arg t;
-                ("agent", Trace.I idx);
-                ("depth", Trace.I (Queue.length a.ah_deferred));
-              ]
-    | Some (Rpc.Pong _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
-        invalid_arg "Controller: unexpected reply to deferred op"
-    | None -> alive := false
-  done;
-  !ops
-
-let record_recovery t idx ~kind ~ops =
-  let h = t.health in
-  let a = h.hs_agents.(idx) in
-  h.hs_recovery <-
-    {
-      re_agent = idx;
-      re_kind = kind;
-      re_detected_ns = a.ah_detected_ns;
-      re_recovered_ns = Engine.now t.engine;
-      re_ops = ops;
-    }
-    :: h.hs_recovery;
-  if List.length h.hs_recovery > recovery_log_cap then begin
-    h.hs_recovery <- List.filteri (fun i _ -> i < recovery_log_cap) h.hs_recovery;
-    Metrics.incr h.hs_recovery_dropped
-  end;
+  if a.ah <> Dead && a.ah_syncs = 0 then a.ah_detected_ns <- Engine.now t.engine;
+  a.ah_syncs <- a.ah_syncs + 1;
+  set_agent_health t idx Healthy;
   if Trace.enabled Trace.Rpc then
-    Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "heal_done"
+    Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "heal_begin"
       ~args:
         [
           ctrl_arg t;
           ("agent", Trace.I idx);
-          ("kind", Trace.S (match kind with `Resync -> "resync" | `Drain -> "drain"));
-          ("ops", Trace.I ops);
-        ]
+          (* the quiet-channel rule: this must always be 0 *)
+          ("in_flight", Trace.I (Rpc_transport.Client.in_flight t.rpcs.(idx)));
+        ];
+  Rpc.Sync (sync_ops t idx)
 
-let on_pong t idx ~epoch =
+(* Push the Sync through the ordinary FIFO. It supersedes whatever is
+   still buffered for the switch: intent already reflects those ops. *)
+let sync_switch t idx =
+  let sync = begin_sync t idx in
+  Queue.clear t.buffers.(idx);
+  Queue.push sync t.buffers.(idx);
+  flush_agent t idx
+
+(* A pong repairs the switch if it ends an outage or its digest differs
+   from intent — but only on a quiet channel. With a call in flight, the
+   agent's digest legitimately lags intent, and that call settles first
+   (a blank agent answers [Error], failing the switch); a later pong
+   repairs the then-quiet channel. Probes are out of band and never hold
+   the window, so they cannot postpone a repair. *)
+let on_pong t idx ~epoch ~digest =
   let h = t.health in
   let a = h.hs_agents.(idx) in
-  (* maintained even while a heal suppresses the rest of pong handling:
-     an in-flight resync polls this to detect a reboot under its feet *)
-  a.ah_observed <- epoch;
-  if not a.ah_healing then begin
+  let quiet = Rpc_transport.Client.in_flight t.rpcs.(idx) = 0 in
+  let in_sync = lazy (Digest.equal digest (intent_digest t idx)) in
+  if Trace.enabled Trace.Rpc then
+    Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "hb_pong"
+      ~args:
+        ([ ctrl_arg t; ("agent", Trace.I idx); ("epoch", Trace.I epoch) ]
+        @
+        if quiet then
+          [ ("in_sync", Trace.S (if Lazy.force in_sync then "true" else "false")) ]
+        else []);
+  if h.hs_running then begin
     a.ah_missed <- 0;
-    let prev = a.ah in
-    let first = a.ah_epoch < 0 in
-    let rebooted = (not first) && epoch <> a.ah_epoch in
-    if (not rebooted) && prev <> Dead then begin
-      (* steady state (or Suspect clearing up); just track the epoch *)
-      a.ah_epoch <- epoch;
-      if prev <> Healthy then set_agent_health t idx Healthy;
-      (* ops can land in the deferred queue while a heal is in progress
-         (the switch stays marked Dead until the replay finishes); they
-         arrive after the heal cleared the queue and no later heal would
-         ever pick them up. Drain them on the next quiet-channel pong —
-         same quiet rule as a heal, and [ah_healing] keeps the drain's
-         own pongs from re-entering. *)
-      if
-        (not (Queue.is_empty a.ah_deferred))
-        && Rpc_transport.Client.in_flight t.rpcs.(idx) = 0
-      then begin
-        a.ah_healing <- true;
-        Fun.protect
-          ~finally:(fun () -> a.ah_healing <- false)
-          (fun () ->
-            let ops = drain_deferred t idx in
-            refresh_deferred_gauge t;
-            if ops > 0 then Metrics.add h.hs_repair_ops ops)
-      end
-    end
-    else if
-      Rpc_transport.Client.in_flight t.rpcs.(idx) > 0
-      && not (Mutation.on Mutation.Heal_without_quiesce)
-    then
-      (* A heal must not overlap a blocking mutation call on this
-         channel (this pong arrived inside that call's engine pump): a
-         resync would replay the op's intent, and then the in-flight
-         request's retransmit would land on the healed agent and
-         double-execute — the replay cache can't help, the straddling
-         request never executed before the reboot wiped the cache.
-         Leave the agent as-is; the stale submission settles within its
-         retry ladder (a blank agent answers [Error]) and a later
-         heartbeat heals the then-quiet channel. Probes are oob and
-         never hold the window, so they cannot postpone a heal. *)
-      ()
-    else begin
-      (* the switch is back — blank (new epoch) or intact (same epoch) *)
-      if prev <> Dead then a.ah_detected_ns <- Engine.now t.engine;
-      a.ah_healing <- true;
-      if Trace.enabled Trace.Rpc then
-        Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "heal_begin"
-          ~args:
-            [
-              ctrl_arg t;
-              ("agent", Trace.I idx);
-              ("rebooted", Trace.S (if rebooted then "true" else "false"));
-              (* the quiet-channel rule: this must always be 0 *)
-              ("in_flight", Trace.I (Rpc_transport.Client.in_flight t.rpcs.(idx)));
-            ];
-      Fun.protect
-        ~finally:(fun () -> a.ah_healing <- false)
-        (fun () ->
-          let need_resync = rebooted || first || a.ah_dropped > 0 in
-          if need_resync then begin
-            (* controller intent already reflects every queued op, so the
-               replay regenerates them; the queue itself is obsolete —
-               and so is any batch buffer still waiting for this switch *)
-            let discarded = Queue.length a.ah_deferred in
-            Queue.clear a.ah_deferred;
-            Queue.clear t.buffers.(idx);
-            a.ah_dropped <- 0;
-            if Trace.enabled Trace.Rpc && discarded > 0 then
-              Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "defer_discard"
-                ~args:
-                  [ ctrl_arg t; ("agent", Trace.I idx); ("n", Trace.I discarded) ];
-            refresh_deferred_gauge t;
-            match resync t idx with
-            | Some ops ->
-                (* ops deferred while the replay itself was in flight are
-                   already reflected in the intent it read (any gap is
-                   the anti-entropy pass's to repair); re-issuing them
-                   against the freshly replayed state would double-execute *)
-                let late = Queue.length a.ah_deferred in
-                if late > 0 then begin
-                  Queue.clear a.ah_deferred;
-                  if Trace.enabled Trace.Rpc then
-                    Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl"
-                      "defer_discard"
-                      ~args:
-                        [ ctrl_arg t; ("agent", Trace.I idx); ("n", Trace.I late) ];
-                  refresh_deferred_gauge t
-                end;
-                a.ah_epoch <- epoch;
-                Metrics.incr h.hs_resync_full;
-                Metrics.add h.hs_repair_ops ops;
-                set_agent_health t idx Healthy;
-                record_recovery t idx ~kind:`Resync ~ops
-            | None -> ()  (* died again mid-replay; retried on its next pong *)
-          end
-          else begin
-            let ops = drain_deferred t idx in
-            refresh_deferred_gauge t;
-            if Queue.is_empty a.ah_deferred then begin
-              a.ah_epoch <- epoch;
-              Metrics.add h.hs_repair_ops ops;
-              set_agent_health t idx Healthy;
-              record_recovery t idx ~kind:`Drain ~ops
-            end
-            (* else: died again mid-drain; the rest stays queued *)
-          end)
-    end
+    let stale () = a.ah = Dead || not (Lazy.force in_sync) in
+    if quiet && stale () then sync_switch t idx
+    else if Mutation.on Mutation.Heal_without_quiesce && stale () then
+      (* the reverted guard: repair at once, beside the in-flight call *)
+      ship_ops t idx [ begin_sync t idx ]
+    else if a.ah <> Dead then set_agent_health t idx Healthy
   end
 
 let on_miss t idx =
   let h = t.health in
   let a = h.hs_agents.(idx) in
-  if not a.ah_healing then begin
-    a.ah_missed <- a.ah_missed + 1;
-    Metrics.incr h.hb_missed;
-    if a.ah_missed >= h.hc.dead_after then mark_dead t idx
-    else if a.ah_missed >= h.hc.suspect_after && a.ah = Healthy then
-      set_agent_health t idx Suspect
-  end
+  a.ah_missed <- a.ah_missed + 1;
+  Metrics.incr h.hb_missed;
+  if a.ah_missed >= h.hc.dead_after then mark_dead t idx
+  else if a.ah_missed >= h.hc.suspect_after && a.ah = Healthy then
+    set_agent_health t idx Suspect
 
 let heartbeat_tick t =
   let h = t.health in
@@ -1498,18 +1297,11 @@ let heartbeat_tick t =
     (fun idx _ ->
       Metrics.incr h.hb_sent;
       Rpc_transport.Client.probe t.rpcs.(idx) ~timeout_ns:h.hc.probe_timeout_ns Rpc.Ping
-        ~on_result:(fun result ->
-          if h.hs_running then
-            match result with
-            | Ok (Rpc.Pong { epoch }) ->
-                if Trace.enabled Trace.Rpc then
-                  Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "hb_pong"
-                    ~args:
-                      [ ctrl_arg t; ("agent", Trace.I idx); ("epoch", Trace.I epoch) ];
-                on_pong t idx ~epoch
-            | Ok (Rpc.Ack | Rpc.Error _ | Rpc.Batch_reply _ | Rpc.Stale_fence _) ->
-                on_miss t idx
-            | Error (`Timeout | `Gave_up _) -> on_miss t idx))
+        ~on_result:(function
+          | Ok (Rpc.Pong { epoch; digest }) -> on_pong t idx ~epoch ~digest
+          | Ok (Rpc.Ack | Rpc.Error _ | Rpc.Batch_reply _ | Rpc.Stale_fence _)
+          | Error (`Timeout | `Gave_up _) ->
+              if h.hs_running then on_miss t idx))
     h.hs_agents
 
 let arm_heartbeats t =
@@ -1549,18 +1341,13 @@ let health_transitions t idx st =
   check_switch "health_transitions" t idx;
   Metrics.value t.health.hs_agents.(idx).ah_transitions.(health_rank st)
 
-(* Anti-entropy entry point: replay intent onto one switch regardless of
-   its health state (the verifier calls this for a live-but-drifted
-   switch). [None] if the switch went Dead during the replay. *)
+(* Anti-entropy entry point: push a Sync at one switch regardless of its
+   health state (the verifier calls this for a live-but-drifted switch).
+   [None] if the switch went Dead instead of acknowledging it. *)
 let resync_switch t idx =
   check_switch "resync_switch" t idx;
-  let result = resync t idx in
-  Option.iter
-    (fun ops ->
-      Metrics.incr t.health.hs_resync_full;
-      Metrics.add t.health.hs_repair_ops ops)
-    result;
-  result
+  sync_switch t idx;
+  if t.health.hs_agents.(idx).ah = Dead then None else Some 1
 
 (* --- introspection: the controller's intent, for Scallop_analysis -------- *)
 
@@ -1592,13 +1379,7 @@ type meeting_view = {
   cmv_sites : int list;
 }
 
-type health_view = {
-  hv_agent : int;
-  hv_state : agent_health;
-  hv_epoch : int;
-  hv_deferred : int;  (** ops queued for this (Dead) switch *)
-  hv_dropped : int;  (** ops lost to the deferred-queue cap since last replay *)
-}
+type health_view = { hv_agent : int; hv_state : agent_health }
 
 type intent = {
   in_participants : participant_view list;
@@ -1608,12 +1389,6 @@ type intent = {
 }
 
 let introspect t =
-  let port_on (p : participant) idx =
-    if idx = p.home then p.egress_port
-    else
-      Option.value ~default:(-1)
-        (Hashtbl.find_opt t.egress_ports (sender_site_key p.pid idx))
-  in
   let participants =
     Hashtbl.fold
       (fun _ (p : participant) acc ->
@@ -1626,7 +1401,9 @@ let introspect t =
           pv_audio_ssrc = p.audio_ssrc;
           pv_screen_ssrc = Option.map fst p.screen;
           pv_sites =
-            List.map (fun idx -> (idx, port_on p idx)) (List.sort_uniq compare p.sites);
+            List.map
+              (fun idx -> (idx, site_port t p idx))
+              (List.sort_uniq compare p.sites);
           pv_cam_ports = List.sort compare p.cam_ports;
           pv_screen_ports = List.sort compare p.screen_ports;
         }
@@ -1655,9 +1432,7 @@ let introspect t =
           rv_src = src;
           rv_dst = dst;
           rv_pid = relay_pid dst;
-          rv_egress_port =
-            Option.value ~default:(-1)
-              (Hashtbl.find_opt t.egress_ports (relay_site_key mid dst));
+          rv_egress_port = allocated_port t (relay_site_key mid dst);
         }
         :: acc)
       t.relay_receivers []
@@ -1667,13 +1442,7 @@ let introspect t =
     Array.to_list
       (Array.mapi
          (fun idx a ->
-           {
-             hv_agent = idx;
-             hv_state = a.ah;
-             hv_epoch = a.ah_epoch;
-             hv_deferred = Queue.length a.ah_deferred;
-             hv_dropped = a.ah_dropped;
-           })
+           { hv_agent = idx; hv_state = a.ah })
          t.health.hs_agents)
   in
   {
@@ -1865,14 +1634,9 @@ let restart t =
       (fun a ->
         a.ah <- Healthy;
         Metrics.set a.ah_gauge 0.;
-        a.ah_epoch <- -1;
         a.ah_missed <- 0;
-        a.ah_healing <- false;
-        a.ah_observed <- -1;
-        a.ah_dropped <- 0;
-        Queue.clear a.ah_deferred)
+        a.ah_syncs <- 0)
       t.health.hs_agents;
-    refresh_deferred_gauge t;
     if Trace.enabled Trace.Rpc then
       Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "ctrl_restart"
         ~args:[ ctrl_arg t ];
@@ -1880,12 +1644,12 @@ let restart t =
   end
 
 (* Take over as the acting primary: catch up with the journal, mint a
-   strictly higher fencing epoch, then push a fenced full resync at every
-   switch — the [Reset] installs the new fence on each agent, atomically
-   invalidating any in-flight request the previous primary still has on
-   the wire, and the intent replay erases whatever half-applied state it
-   left. The detector starts first so a switch that is down during the
-   takeover is simply marked Dead and healed by its next pong. *)
+   strictly higher fencing epoch, then push a fenced Sync at every
+   switch — it installs the new fence on each agent, invalidating any
+   in-flight request the previous primary still has on the wire, and
+   converges whatever half-applied state it left. The detector starts
+   first so a switch that is down during the takeover is simply marked
+   Dead and repaired by its next pong. *)
 let promote ?health_config t =
   match t.journal with
   | None -> invalid_arg "Controller.promote: no journal"

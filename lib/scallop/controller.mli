@@ -178,18 +178,21 @@ val relay_pid : int -> participant_id
     per-agent state machine: [Healthy] → (missed probes ≥
     [suspect_after]) → [Suspect] → (≥ [dead_after]) → [Dead]. A failed
     op marks its switch [Dead] instead of raising, and session mutations
-    against a [Dead] switch do not raise either: the wire side of the op
-    is queued (bounded by [deferred_cap]; overflow drops the
-    oldest op and forces a full resync on heal) while controller intent
-    updates normally. The data plane of a merely-partitioned switch
-    keeps forwarding its last-known state throughout.
+    against a [Dead] switch do not raise either: their wire side is not
+    shipped, because controller intent, which updates normally, already
+    holds it. The data plane of a merely-partitioned switch keeps
+    forwarding its last-known state throughout.
 
-    When a probe answers again, the [Pong]'s epoch decides the repair:
-    same epoch — the switch was unreachable but intact, so the queue
-    drains in order; new epoch — the switch rebooted blank
-    ({!Switch_agent.restart}), so the controller replays every affected
-    meeting from intent ({e full resync}). Detection and recovery
-    timestamps land in {!recovery_log}. *)
+    Recovery has one input, intent. Every [Pong] carries the digest of
+    the agent's registrations ({!Rpc.digest}). A pong that arrives while
+    nothing is in flight on the switch's channel, and either ends an
+    outage or shows a digest that differs from {!intent_digest}, pushes
+    one [Rpc.Sync] with the switch's whole desired state through the
+    ordinary op FIFO. The agent diffs it against its shadow, so a
+    rebooted blank agent, a healed partition and a drifted agent are
+    all repaired by that one RPC, and state that already matches keeps
+    running untouched. Detection and recovery timestamps land in
+    {!recovery_log}. *)
 
 type agent_health = Healthy | Suspect | Dead
 
@@ -198,12 +201,11 @@ type health_config = {
   probe_timeout_ns : int;
   suspect_after : int;  (** consecutive missed probes before Suspect *)
   dead_after : int;  (** consecutive missed probes before Dead *)
-  deferred_cap : int;  (** max ops queued per Dead agent *)
 }
 
 val default_health_config : health_config
 (** 500 ms heartbeats, 250 ms probe timeout, Suspect after 2 misses,
-    Dead after 4, 256 queued ops per agent. *)
+    Dead after 4. *)
 
 val start_health : ?config:health_config -> t -> unit
 (** Arm the heartbeat loop. The loop keeps the engine's event queue
@@ -213,9 +215,9 @@ val start_health : ?config:health_config -> t -> unit
     detector's settings ({!default_health_config} until then). *)
 
 val stop_health : t -> unit
-(** Stop probing (idempotent). Agent states and queued ops survive a
-    stop/start cycle, and failed ops keep being deferred rather than
-    raised. *)
+(** Stop probing (idempotent). Agent states survive a stop/start
+    cycle, and failed ops keep failing their switch rather than
+    raising. *)
 
 val health_running : t -> bool
 
@@ -228,14 +230,16 @@ val health_name : agent_health -> string
 
 type recovery_event = {
   re_agent : int;
-  re_kind : [ `Resync | `Drain ];
-  re_detected_ns : int;  (** when the agent was declared Dead *)
-  re_recovered_ns : int;  (** when the replay/drain committed *)
-  re_ops : int;  (** RPCs the repair took *)
+  re_detected_ns : int;
+      (** when the agent was declared Dead, or when a Sync for a live
+          switch was first pushed *)
+  re_recovered_ns : int;  (** when the switch acknowledged the Sync *)
+  re_ops : int;  (** Sync RPCs the repair took *)
 }
 
 val recovery_log : t -> recovery_event list
-(** Completed repairs, newest first — bounded to the 64 most recent;
+(** Completed repairs (acknowledged Syncs), newest first — bounded to
+    the 64 most recent;
     older events are evicted (counted in {!recovery_log_dropped} and the
     [scallop_ctrl_recovery_log_dropped] metric). [re_recovered_ns -
     re_detected_ns] is the recovery latency the failover experiment
@@ -252,12 +256,17 @@ val health_transitions : t -> int -> agent_health -> int
     increments. *)
 
 val resync_switch : t -> int -> int option
-(** Anti-entropy entry point: [Reset] the switch at the given index and
-    replay every meeting with a site there from controller intent,
-    regardless of health state — the repair for a live-but-drifted agent
-    (see {!Scallop_analysis}). Returns the number of RPCs issued, or
-    [None] if the switch went Dead mid-replay (with health tracking on,
-    the replay re-runs when its heartbeat answers again). *)
+(** Anti-entropy entry point: push a [Sync] of controller intent at the
+    switch at the given index, regardless of health state — the repair
+    for a live-but-drifted agent (see {!Scallop_analysis}). Returns
+    [Some 1] (one RPC), or [None] if the switch went Dead instead of
+    acknowledging it (with health tracking on, its next answering
+    heartbeat repairs it). *)
+
+val intent_digest : t -> int -> Digest.t
+(** {!Rpc.digest} of the [Sync] this controller would push at the switch
+    at the given index. It equals {!Switch_agent.digest} of that
+    switch's agent exactly when the agent's registrations match intent. *)
 
 (** {1 Introspection (read-only, for the {!Scallop_analysis} snapshot layer)}
 
@@ -301,9 +310,6 @@ type meeting_view = {
 type health_view = {
   hv_agent : int;
   hv_state : agent_health;
-  hv_epoch : int;  (** last epoch seen in a Pong; -1 before the first *)
-  hv_deferred : int;  (** ops queued for this (Dead) switch *)
-  hv_dropped : int;  (** ops lost to the deferred-queue cap since last replay *)
 }
 
 type intent = {
@@ -330,13 +336,13 @@ val introspect : t -> intent
       journal. Agents remember the highest fence they have seen and
       answer anything older with a stale-fence rejection, so an in-flight
       (or retransmitted) request from a deposed primary can never execute
-      after the new primary's takeover [Reset]. The journal refuses
+      after the new primary's takeover [Sync]. The journal refuses
       appends under an old fence, so the deposed primary can never log
       {e new} intent either; both rejections flip it to [Deposed].
     - {b Crash-rebuild} — {!kill} silences the instance ({!restart}
       rebuilds it from the journal as a standby); {!promote} turns a
       caught-up standby (or rebuilt instance) into the acting primary and
-      pushes a fenced full resync at every switch.
+      pushes a fenced [Sync] at every switch.
 
     See {!Cluster} for the packaged primary/standby pair with heartbeat
     failover. *)
@@ -380,9 +386,10 @@ val restart : t -> unit
 
 val promote : ?health_config:health_config -> t -> unit
 (** Take over as acting primary: catch up with the journal, mint a new
-    fencing epoch, start the failure detector, then push a fenced full
-    resync at every switch — installing the new fence on the agents and
-    erasing any half-applied state the previous primary left. *)
+    fencing epoch, start the failure detector, then push a fenced [Sync]
+    at every switch — installing the new fence on the agents and
+    converging any half-applied state the previous primary left. An
+    agent already in sync keeps every data-plane entry. *)
 
 val apply_tail : t -> int
 (** One tailing step: restore the journal's snapshot if it is ahead,

@@ -485,6 +485,14 @@ let leg_rendition t ~leg_port =
   | Some { simulcast = Some sc; _ } -> Some (Simulcast.active sc)
   | Some _ | None -> None
 
+let leg_installed t ~receiver ~video_ssrc ~leg_port =
+  match Tofino.Table.lookup t.legs (receiver, video_ssrc) with
+  | Some leg -> leg.src_port = leg_port
+  | None -> false
+
+let leg_rewriter t ~leg_port =
+  Option.bind (Tofino.Table.lookup t.leg_by_port leg_port) (fun leg -> leg.rewriter)
+
 (* Ask the sender for a key frame of one stream: a PLI from the switch,
    used to drive simulcast rendition switches. *)
 let request_keyframe t ~uplink_port ~ssrc =

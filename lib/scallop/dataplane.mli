@@ -117,12 +117,16 @@ val register_leg :
 
 val unregister_leg : t -> receiver:int -> video_ssrc:int -> unit
 
+val leg_installed : t -> receiver:int -> video_ssrc:int -> leg_port:int -> bool
+(** The egress table maps ([receiver], [video_ssrc]) to the leg at
+    [leg_port]. *)
+
 val reset : t -> unit
 (** Power-cycle the match-action state: clear the uplink/egress/feedback
     tables, zero every stream-tracker cell, rewind the stream-index
     allocator. Does {e not} touch the PRE — tree teardown belongs to the
-    agent's meeting records ({!Switch_agent} wipes those first). The
-    crash half of the crash/resync story. *)
+    agent's meeting records ({!Switch_agent} wipes those first). Only a
+    switch crash calls it. *)
 
 val set_leg_target : t -> receiver:int -> video_ssrc:int -> Av1.Dd.decode_target -> unit
 (** Update the frame-skip cadence of a leg's rewriter. *)
@@ -132,6 +136,11 @@ val set_leg_rendition : t -> leg_port:int -> int -> unit
     at that rendition's next key frame). *)
 
 val leg_rendition : t -> leg_port:int -> int option
+
+val leg_rewriter : t -> leg_port:int -> Seq_rewrite.t option
+(** The live sequence rewriter of the leg at [leg_port], if it rewrites.
+    A leg that is never torn down keeps the same rewriter, and with it
+    its sequence state, for its whole life. *)
 
 val request_keyframe : t -> uplink_port:int -> ssrc:int -> unit
 (** Send a PLI towards the sender for one of its streams — how the agent

@@ -25,8 +25,8 @@ let of_name s = List.find_opt (fun m -> name m = s) all
 
 let describe = function
   | Heal_without_quiesce ->
-      "revert the heal-race fix: heal on pong even while a blocking call \
-       is in flight on the channel"
+      "revert the heal-race fix: a pong pushes its repair Sync at once, \
+       beside a blocking call still in flight on the channel"
   | Corrupt_replay ->
       "answer replayed requests with a fresh Error instead of the cached \
        reply (breaks replay-cache byte-identity)"

@@ -11,8 +11,9 @@
 
 type t =
   | Heal_without_quiesce
-      (** revert the heal-race fix: {!Controller}'s pong handler heals
-          even while a blocking call is in flight on the channel *)
+      (** revert the heal-race fix: {!Controller}'s pong handler ships
+          its repair Sync at once, beside a blocking call still in flight
+          on the channel, instead of waiting for a quiet channel *)
   | Corrupt_replay
       (** {!Rpc_transport.Server} answers replayed requests with a fresh
           [Error] instead of the cached reply *)

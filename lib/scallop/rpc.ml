@@ -36,13 +36,13 @@ type request =
       target : Dd.decode_target;
     }
   | Ping
-  | Reset
   | Batch of request list
+  | Sync of request list
   | Fenced of { fence : int; op : request }
 
 type reply =
   | Ack
-  | Pong of { epoch : int }
+  | Pong of { epoch : int; digest : Digest.t }
   | Error of string
   | Batch_reply of reply list
   | Stale_fence of { fence : int }
@@ -62,9 +62,16 @@ let rec request_name = function
   | Unregister_uplink _ -> "unregister-uplink"
   | Set_pair_target _ -> "set-pair-target"
   | Ping -> "ping"
-  | Reset -> "reset"
   | Batch _ -> "batch"
+  | Sync _ -> "sync"
   | Fenced { op; _ } -> request_name op
+
+let state_op = function
+  | New_meeting _ | Register_participant _ | Register_uplink _ | Register_leg _
+  | Set_pair_target _ ->
+      true
+  | Remove_participant _ | Unregister_uplink _ | Ping | Batch _ | Sync _ | Fenced _ ->
+      false
 
 (* --- wire codec --------------------------------------------------------------
 
@@ -134,16 +141,18 @@ let rec encode_request r =
         string_of_int (Dd.index_of_target target);
       ]
   | Ping -> [ "ping" ]
-  | Reset -> [ "reset" ]
-  | Batch ops ->
-      "batch"
-      :: string_of_int (List.length ops)
-      :: List.concat_map (fun op -> framed (encode_request op)) ops
+  | Batch ops -> encode_list "batch" ops
+  | Sync ops -> encode_list "sync" ops
   | Fenced { fence; op } -> "fenced" :: string_of_int fence :: encode_request op
+
+and encode_list name ops =
+  name
+  :: string_of_int (List.length ops)
+  :: List.concat_map (fun op -> framed (encode_request op)) ops
 
 let rec encode_reply = function
   | Ack -> [ "ack" ]
-  | Pong { epoch } -> [ "pong"; string_of_int epoch ]
+  | Pong { epoch; digest } -> [ "pong"; string_of_int epoch; Digest.to_hex digest ]
   | Error msg -> [ "error"; msg ]
   | Stale_fence { fence } -> [ "stale-fence"; string_of_int fence ]
   | Batch_reply replies ->
@@ -165,6 +174,11 @@ let int_field name s =
   match int_of_string_opt s with
   | Some i -> i
   | None -> fail "bad %s field %S" name s
+
+let target_field s =
+  match Dd.target_of_index (int_field "target" s) with
+  | target -> target
+  | exception Invalid_argument _ -> fail "bad target field %S" s
 
 let bool_of_field name = function
   | "0" -> false
@@ -248,12 +262,20 @@ let rec decode_request = function
           meeting = int_field "meeting" m;
           sender = int_field "sender" s;
           receiver = int_field "receiver" r;
-          target = Dd.target_of_index (int_field "target" t);
+          target = target_field t;
         }
   | [ "ping" ] -> Ping
-  | [ "reset" ] -> Reset
   | "batch" :: n :: rest ->
       Batch (List.map decode_request (framed_groups "batch" (int_field "batch size" n) rest))
+  | "sync" :: n :: rest ->
+      Sync
+        (List.map
+           (fun tokens ->
+             let op = decode_request tokens in
+             if not (state_op op) then
+               fail "sync: %s cannot be a sync member" (request_name op);
+             op)
+           (framed_groups "sync" (int_field "sync size" n) rest))
   | "fenced" :: fence :: rest ->
       Fenced { fence = int_field "fence" fence; op = decode_request rest }
   | op :: _ -> fail "unknown or malformed request %S" op
@@ -261,7 +283,13 @@ let rec decode_request = function
 
 let rec decode_reply = function
   | [ "ack" ] -> Ack
-  | [ "pong"; e ] -> Pong { epoch = int_field "epoch" e }
+  | [ "pong"; e; d ] ->
+      let digest =
+        match Digest.from_hex d with
+        | digest -> digest
+        | exception Invalid_argument _ -> fail "bad digest field %S" d
+      in
+      Pong { epoch = int_field "epoch" e; digest }
   | [ "stale-fence"; f ] -> Stale_fence { fence = int_field "fence" f }
   | "batch-reply" :: n :: rest ->
       Batch_reply
@@ -277,3 +305,12 @@ let decode bytes =
   | "rep" :: seq :: rest -> Reply { seq = int_field "seq" seq; reply = decode_reply rest }
   | tag :: _ -> fail "unknown message tag %S" tag
   | [] -> fail "empty message"
+
+(* Decode targets move under the agent's own layer selection, so they stay
+   out; sorting makes the digest independent of registration order. *)
+let digest ops =
+  let registrations =
+    List.filter (function Set_pair_target _ -> false | _ -> true) ops
+  in
+  Digest.bytes
+    (encode (Request { seq = 0; request = Sync (List.sort compare registrations) }))

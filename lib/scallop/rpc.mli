@@ -46,13 +46,8 @@ type request =
     }
   | Ping
       (** controller heartbeat; answered with {!Pong} carrying the
-          agent's restart epoch so the controller can tell a healed
-          partition (same epoch, state intact) from a fresh restart
-          (bumped epoch, state lost) *)
-  | Reset
-      (** wipe every meeting, stream and leg on the agent and its data
-          plane — the first step of a full resync, making intent replay
-          convergent from any drifted state *)
+          agent's restart epoch and the {!digest} of its registration
+          state, which the controller compares against its intent *)
   | Batch of request list
       (** an ordered list of operations shipped under a single sequence
           number and executed in list order; answered by {!Batch_reply}
@@ -62,6 +57,17 @@ type request =
           batch replays the cached reply list without re-executing any
           member. Nesting is permitted by the codec but the controller
           never sends it. *)
+  | Sync of request list
+      (** a switch's whole desired state: per meeting (ascending id) its
+          [New_meeting], [Register_participant]s, [Register_uplink]s,
+          [Register_leg]s and [Set_pair_target]s. The agent diffs it
+          against its own shadow and converges in one step: meetings not
+          listed are dropped, registrations that differ are removed and
+          registered again, and entries that already match are left
+          alone, so their data-plane state keeps running. Applying the
+          same [Sync] twice changes nothing. Members must satisfy
+          {!state_op}; the codec rejects anything else. Answered with
+          {!Ack}, or {!Error} if a member cannot be applied. *)
   | Fenced of { fence : int; op : request }
       (** [op] carried under a fencing epoch: the agent executes it only
           if [fence] is at least the highest fence it has ever observed,
@@ -71,8 +77,10 @@ type request =
           carrier-grade control-plane requirement) *)
 
 type reply =
-  | Ack  (** a session mutation or [Reset] succeeded *)
-  | Pong of { epoch : int }  (** answers [Ping] *)
+  | Ack  (** a session mutation or [Sync] succeeded *)
+  | Pong of { epoch : int; digest : Digest.t }
+      (** answers [Ping]: the agent's restart epoch and the {!digest} of
+          its registration state *)
   | Error of string
       (** the agent rejected the request (e.g. unknown meeting); carried
           back as data, not an exception, so it survives the wire *)
@@ -97,11 +105,24 @@ exception Decode_error of string
 
 val request_name : request -> string
 
+val state_op : request -> bool
+(** The requests that describe state and so may be members of a [Sync]:
+    [New_meeting], the three [Register_*] and [Set_pair_target]. *)
+
+val digest : request list -> Digest.t
+(** The digest a [Pong] carries: MD5 over the {!encode}d, sorted list of
+    the registration ops (meetings, members, uplinks, legs with their
+    [dst]). [Set_pair_target]s are left out, because the agent's own
+    layer selection moves decode targets. The agent hashes the ops that
+    would rebuild its shadow and the controller the [Sync] it would
+    send, so the two agree exactly when the registrations do. *)
+
 val encode : message -> bytes
 (** Space-separated textual wire format (inspectable, honestly sized).
-    Batch members are framed recursively with token-count prefixes, so
-    sub-messages whose fields contain spaces (an [Error] text) still
-    round-trip exactly. *)
+    Batch and sync members are framed recursively with token-count
+    prefixes, so sub-messages whose fields contain spaces (an [Error]
+    text) still round-trip exactly. *)
 
 val decode : bytes -> message
-(** @raise Decode_error on malformed input. *)
+(** @raise Decode_error on malformed input, including an out-of-range
+    decode target and a [sync] member that fails {!state_op}. *)

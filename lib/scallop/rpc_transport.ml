@@ -117,8 +117,8 @@ module Server = struct
 
   (* A freshly restarted agent process has no memory of past sequence
      numbers; dropping the cache models that. Retransmits of pre-crash
-     requests then re-execute, which is exactly the hazard the
-     controller's post-restart full resync exists to repair. *)
+     requests then re-execute, which is why the controller repairs a
+     rebooted agent only once its channel is quiet. *)
   let flush_cache t =
     Hashtbl.reset t.seen;
     Queue.clear t.seen_order

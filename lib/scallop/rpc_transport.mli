@@ -90,7 +90,8 @@ module Server : sig
   val flush_cache : t -> unit
   (** Drop the reply cache — a freshly restarted process remembers no
       sequence numbers, so pre-crash retransmits re-execute instead of
-      replaying (the drift the post-restart resync repairs). *)
+      replaying (why the controller repairs a rebooted agent only on a
+      quiet channel). *)
 
   type stats = {
     requests_received : int;  (** datagrams decoded as requests, dups included *)

@@ -20,6 +20,7 @@ type meeting_id = int
 type leg_info = {
   leg_port : int;
   receiver : int;
+  dst : Addr.t;
   adaptive : bool;  (** false for cascade legs towards another switch *)
   mutable ewma : Ewma.t;
   mutable history : float list;  (** recent raw estimates, newest first *)
@@ -65,8 +66,8 @@ type t = {
   mutable fence : int;
       (** highest fencing epoch observed on any {!Rpc.Fenced} request;
           requests under a lower fence answer [Stale_fence]. Lost on
-          restart like all agent memory — the acting controller's fenced
-          resync re-installs it. *)
+          restart like all agent memory — the acting controller's next
+          fenced request re-installs it. *)
   rpc_calls : Scallop_obs.Metrics.counter;
   mutable cpu_packets : int;
   mutable cpu_bytes : int;
@@ -193,6 +194,22 @@ let register_participant t ~meeting:mid ~participant ~egress_port ~sends =
   if want <> m.design then rebuild t m want
   else Trees.add_participant (Dataplane.trees t.dp) m.handle (participant, egress_port) ~sends
 
+(* Tear one stream down: its data-plane legs, feedback state, and uplink. *)
+let retire_stream t s =
+  Hashtbl.remove t.stream_by_uplink s.uplink_port;
+  Dataplane.unregister_uplink t.dp ~port:s.uplink_port;
+  List.iter
+    (fun l ->
+      Hashtbl.remove t.leg_index l.leg_port;
+      Dataplane.unregister_leg t.dp ~receiver:l.receiver ~video_ssrc:s.video_ssrc)
+    s.legs
+
+let drop_leg t s l =
+  s.legs <- List.filter (fun l' -> l' != l) s.legs;
+  Hashtbl.remove t.leg_index l.leg_port;
+  Dataplane.unregister_leg t.dp ~receiver:l.receiver ~video_ssrc:s.video_ssrc;
+  if s.best_leg = Some l.leg_port then s.best_leg <- None
+
 let remove_participant t ~meeting:mid ~participant =
   let m = meeting t mid in
   m.members <- List.filter (fun (p, _) -> p <> participant) m.members;
@@ -208,47 +225,20 @@ let remove_participant t ~meeting:mid ~participant =
   (* retire this participant's sender stream and legs *)
   let gone, kept = List.partition (fun s -> s.sender = participant) m.streams in
   m.streams <- kept;
-  List.iter
-    (fun s ->
-      Hashtbl.remove t.stream_by_uplink s.uplink_port;
-      Dataplane.unregister_uplink t.dp ~port:s.uplink_port;
-      List.iter
-        (fun l ->
-          Hashtbl.remove t.leg_index l.leg_port;
-          Dataplane.unregister_leg t.dp ~receiver:l.receiver ~video_ssrc:s.video_ssrc)
-        s.legs)
-    gone;
+  List.iter (retire_stream t) gone;
   (* drop legs other senders had towards this participant *)
   List.iter
-    (fun s ->
-      let mine, others = List.partition (fun l -> l.receiver = participant) s.legs in
-      s.legs <- others;
-      List.iter
-        (fun l ->
-          Hashtbl.remove t.leg_index l.leg_port;
-          Dataplane.unregister_leg t.dp ~receiver:participant ~video_ssrc:s.video_ssrc;
-          if s.best_leg = Some l.leg_port then s.best_leg <- None)
-        mine)
+    (fun s -> List.iter (fun l -> if l.receiver = participant then drop_leg t s l) s.legs)
     kept;
   let want = if t.migration_enabled then desired_design t m else m.design in
   if want <> m.design then rebuild t m want
   else Trees.remove_participant (Dataplane.trees t.dp) m.handle participant
 
-(* Tear one stream down: its data-plane legs, feedback state, and uplink. *)
 let unregister_uplink t ~meeting:mid ~port =
   let m = meeting t mid in
   let gone, kept = List.partition (fun s -> s.uplink_port = port) m.streams in
   m.streams <- kept;
-  List.iter
-    (fun s ->
-      Hashtbl.remove t.stream_by_uplink s.uplink_port;
-      Dataplane.unregister_uplink t.dp ~port:s.uplink_port;
-      List.iter
-        (fun l ->
-          Hashtbl.remove t.leg_index l.leg_port;
-          Dataplane.unregister_leg t.dp ~receiver:l.receiver ~video_ssrc:s.video_ssrc)
-        s.legs)
-    gone
+  List.iter (retire_stream t) gone
 
 let register_uplink ?(renditions = [||]) t ~meeting:mid ~sender ~port ~video_ssrc
     ~audio_ssrc ~full_bitrate =
@@ -285,6 +275,7 @@ let register_leg t ~meeting:mid ~sender ?uplink_port ~receiver ~leg_port ~dst
         {
           leg_port;
           receiver;
+          dst;
           adaptive;
           ewma = Ewma.create ~alpha:0.3;
           history = [];
@@ -325,6 +316,15 @@ let set_pair_target t ~meeting:mid ~sender ~receiver target =
   if m.design = Trees.Ra_sr then
     Trees.set_pair_target (Dataplane.trees t.dp) m.handle ~sender ~receiver target
   else Trees.set_receiver_target (Dataplane.trees t.dp) m.handle ~receiver target
+
+let current_target t ~meeting:mid ~sender ~receiver =
+  let m = meeting t mid in
+  match List.find_opt (fun s -> s.sender = sender) m.streams with
+  | None -> Dd.DT_30fps
+  | Some stream -> (
+      match List.find_opt (fun l -> l.receiver = receiver) stream.legs with
+      | Some leg -> leg.target
+      | None -> Dd.DT_30fps)
 
 (* --- CPU-port packet handling ------------------------------------------------ *)
 
@@ -481,10 +481,9 @@ let cpu_handler t (dgram : Dgram.t) =
    server, so a bad request degrades into a typed error at the
    controller instead of an exception inside the agent. *)
 
-(* Forget every session: meeting records (releasing their PRE trees),
-   stream/leg indexes, then the data-plane tables. Shared by the Reset
-   request (resync step one) and the crash path (a dead switch keeps no
-   state). *)
+(* A dead switch keeps no state: forget every meeting record (releasing
+   its PRE trees) and the stream/leg indexes, then power-cycle the
+   data-plane tables. *)
 let wipe t =
   Hashtbl.iter
     (fun _ m -> Trees.unregister_meeting (Dataplane.trees t.dp) m.handle)
@@ -494,7 +493,133 @@ let wipe t =
   Hashtbl.reset t.leg_index;
   Dataplane.reset t.dp
 
-let rec dispatch t (req : Rpc.request) : Rpc.reply =
+(* --- level-triggered sync ----------------------------------------------------
+
+   The registration ops that would rebuild the shadow, in the same shape
+   the controller sends them: this list is what the Pong's digest covers
+   and what a Sync is diffed against. *)
+
+let member_op m (participant, egress_port) =
+  Rpc.Register_participant
+    {
+      meeting = m.mid;
+      participant;
+      egress_port;
+      sends = List.mem participant m.sender_members;
+    }
+
+let uplink_op m s =
+  Rpc.Register_uplink
+    {
+      meeting = m.mid;
+      sender = s.sender;
+      port = s.uplink_port;
+      video_ssrc = s.video_ssrc;
+      audio_ssrc = s.audio_ssrc;
+      full_bitrate = s.full_bitrate;
+      renditions = s.renditions;
+    }
+
+let leg_op m s l =
+  Rpc.Register_leg
+    {
+      meeting = m.mid;
+      sender = s.sender;
+      uplink_port = Some s.uplink_port;
+      receiver = l.receiver;
+      leg_port = l.leg_port;
+      dst = l.dst;
+      adaptive = l.adaptive;
+    }
+
+let state_ops t =
+  Hashtbl.fold
+    (fun _ m acc ->
+      (Rpc.New_meeting { meeting = m.mid } :: List.map (member_op m) m.members)
+      @ List.concat_map (fun s -> uplink_op m s :: List.map (leg_op m s) s.legs) m.streams
+      @ acc)
+    t.meetings []
+
+let digest t = Rpc.digest (state_ops t)
+
+(* Converge on [ops] in one handler invocation: first retire everything
+   that does not match — meetings the list does not name, then members,
+   uplinks and legs whose op is not listed, is held more than once, or
+   whose data-plane entry is gone — then install what is missing in list
+   order. What matches is never touched, so its trees, legs and
+   rewriters keep running. A pin is re-applied only where the pair runs
+   another target. *)
+let rec sync t ops =
+  List.iter
+    (fun op ->
+      if not (Rpc.state_op op) then
+        invalid_arg
+          (Printf.sprintf "Switch_agent.sync: %s cannot be a sync member"
+             (Rpc.request_name op)))
+    ops;
+  let count table op = Option.value ~default:0 (Hashtbl.find_opt table op) in
+  let tally ops =
+    let table = Hashtbl.create (List.length ops) in
+    List.iter (fun op -> Hashtbl.replace table op (count table op + 1)) ops;
+    table
+  in
+  let wanted = tally ops and held = tally (state_ops t) in
+  let keep op = count wanted op > 0 && count held op = 1 in
+  Hashtbl.fold (fun _ m acc -> m :: acc) t.meetings []
+  |> List.iter (fun m ->
+         if not (keep (Rpc.New_meeting { meeting = m.mid })) then begin
+           List.iter (retire_stream t) m.streams;
+           Trees.unregister_meeting (Dataplane.trees t.dp) m.handle;
+           Hashtbl.remove t.meetings m.mid
+         end
+         else begin
+           List.iter
+             (fun member ->
+               if not (keep (member_op m member)) then
+                 remove_participant t ~meeting:m.mid ~participant:(fst member))
+             (List.sort_uniq compare m.members);
+           List.iter
+             (fun s ->
+               let installed =
+                 match Dataplane.uplink_entry t.dp ~port:s.uplink_port with
+                 | Some u ->
+                     u.Dataplane.sender = s.sender
+                     && Trees.handle_id u.Dataplane.meeting = Trees.handle_id m.handle
+                 | None -> false
+               in
+               if not (installed && keep (uplink_op m s)) then
+                 unregister_uplink t ~meeting:m.mid ~port:s.uplink_port)
+             m.streams;
+           List.iter
+             (fun s ->
+               List.iter
+                 (fun l ->
+                   let installed =
+                     Dataplane.leg_installed t.dp ~receiver:l.receiver
+                       ~video_ssrc:s.video_ssrc ~leg_port:l.leg_port
+                   in
+                   if not (installed && keep (leg_op m s l)) then drop_leg t s l)
+                 s.legs)
+             m.streams
+         end);
+  let present = tally (state_ops t) in
+  List.iter
+    (fun op ->
+      match op with
+      | Rpc.Set_pair_target { meeting = mid; sender; receiver; target } ->
+          if
+            not
+              ((meeting t mid).pair_specific
+              && current_target t ~meeting:mid ~sender ~receiver = target)
+          then set_pair_target t ~meeting:mid ~sender ~receiver target
+      | op ->
+          if count present op = 0 then begin
+            ignore (dispatch t op);
+            Hashtbl.replace present op 1
+          end)
+    ops
+
+and dispatch t (req : Rpc.request) : Rpc.reply =
   match req with
   | Rpc.Batch ops ->
       (* ops run in list order; a member's failure becomes its [Error]
@@ -562,9 +687,9 @@ let rec dispatch t (req : Rpc.request) : Rpc.reply =
   | Rpc.Set_pair_target { meeting; sender; receiver; target } ->
       set_pair_target t ~meeting ~sender ~receiver target;
       Rpc.Ack
-  | Rpc.Ping -> Rpc.Pong { epoch = t.epoch }
-  | Rpc.Reset ->
-      wipe t;
+  | Rpc.Ping -> Rpc.Pong { epoch = t.epoch; digest = digest t }
+  | Rpc.Sync ops ->
+      sync t ops;
       Rpc.Ack
   | Rpc.Fenced { fence; op } ->
       if fence >= t.fence || Mutation.on Mutation.Skip_fencing_check then begin
@@ -623,8 +748,8 @@ let rpc_server t = Option.get t.rpc_server
    The failure model is a whole-switch power loss: the agent process and
    the ASIC tables die together (the memory is gone the instant the
    lights go out), and a later restart is a fresh boot — empty state, no
-   reply cache, and a bumped epoch so the controller's next heartbeat
-   can tell "rebooted and blank" from "was merely unreachable". *)
+   reply cache, and a bumped epoch. The blank shadow's digest in the
+   next Pong is what makes the controller push a Sync. *)
 
 let alive t = t.alive
 let epoch t = t.epoch
@@ -748,12 +873,3 @@ let introspect t =
   |> List.sort (fun a b -> compare a.amv_id b.amv_id)
 
 let feedback_filter_enabled t = t.feedback_filter
-
-let current_target t ~meeting:mid ~sender ~receiver =
-  let m = meeting t mid in
-  match List.find_opt (fun s -> s.sender = sender) m.streams with
-  | None -> Dd.DT_30fps
-  | Some stream -> (
-      match List.find_opt (fun l -> l.receiver = receiver) stream.legs with
-      | Some leg -> leg.target
-      | None -> Dd.DT_30fps)

@@ -112,7 +112,15 @@ val dispatch : t -> Rpc.request -> Rpc.reply
     tests that drive the agent without a transport. An [Rpc.Batch] runs
     its ops in list order and answers with an [Rpc.Batch_reply] holding
     one reply per op; a member that fails contributes an [Rpc.Error]
-    slot while the remaining ops still execute. *)
+    slot while the remaining ops still execute. An [Rpc.Sync] is diffed
+    against the shadow (see {!Rpc.request}): what it does not name is
+    retired, what is missing is registered, and what matches is left
+    running untouched. *)
+
+val digest : t -> Digest.t
+(** {!Rpc.digest} of the registration state — meetings, members,
+    uplinks and legs (with their destinations) — as carried in every
+    [Pong]. *)
 
 val rpc_server : t -> Rpc_transport.Server.t
 (** The agent's control-plane endpoint, created with the agent. The
@@ -128,9 +136,8 @@ val rpc_server : t -> Rpc_transport.Server.t
     power), the RPC endpoint stops answering, the CPU port goes deaf.
     {!restart} is a fresh boot: empty state, empty RPC replay cache,
     and a bumped {!epoch}, which the agent reports in every heartbeat
-    [Pong] so the controller can tell "rebooted and blank" (full
-    resync needed) from "was merely unreachable" (deferred ops can
-    simply drain). *)
+    [Pong] next to the {!digest} of its (now empty) registrations, so
+    the controller's next heartbeat sees the drift and pushes a [Sync]. *)
 
 val crash : t -> unit
 (** Idempotent: crashing a dead switch does nothing. *)
@@ -147,7 +154,7 @@ val fence : t -> int
     arrives). Requests under a lower fence are answered [Stale_fence]
     without executing — a deposed primary cannot double-execute here.
     Reset to 0 by {!restart} (fence memory dies with the power); the
-    acting controller's fenced resync re-installs it. *)
+    acting controller's next fenced request re-installs it. *)
 
 (** {1 Statistics} *)
 

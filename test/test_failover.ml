@@ -1,9 +1,12 @@
-(* Failure detection and recovery: crash/restart resync, partition
-   tolerance (media keeps flowing while control is severed, deferred ops
-   drain on heal), deferred-queue overflow, and anti-entropy repair.
-   The QCheck property is the heart of it: a run that crashes mid-way
-   and resyncs from intent must converge to the same agent state as the
-   run that never crashed. *)
+(* Failure detection and recovery: every repair is one level-triggered
+   Sync of controller intent. Crash/restart, partition heal (media keeps
+   flowing and untouched legs keep their data-plane state), a reboot
+   under an in-flight Sync, a takeover over in-sync agents, and
+   anti-entropy repair. The QCheck properties are the heart of it: a run
+   that crashes mid-way and syncs from intent must converge to the same
+   agent state as the run that never crashed, and at the end the agent's
+   digest must equal the intent digest exactly when the verifier finds
+   no intent drift. *)
 
 module Engine = Netsim.Engine
 module Link = Netsim.Link
@@ -12,6 +15,7 @@ module C = Scallop.Controller
 module A = Scallop.Switch_agent
 module D = Scallop.Dataplane
 module T = Scallop.Rpc_transport
+module Rpc = Scallop.Rpc
 module An = Scallop_analysis
 module Cl = Scallop.Cluster
 module Common = Experiments.Common
@@ -61,12 +65,56 @@ let set_control_loss stack loss =
 let run_to stack seconds =
   Engine.run stack.Common.engine ~until:(Engine.sec seconds)
 
-let health_view stack =
-  match (C.introspect stack.Common.controller).C.in_health with
-  | [ h ] -> h
-  | hs -> Alcotest.failf "expected one health view, got %d" (List.length hs)
+(* Every non-heartbeat request the controller puts on switch 0's
+   channel, retransmissions included, by name. *)
+let log_requests ctrl =
+  let log = ref [] in
+  T.Client.set_request_fault (C.control_channel ctrl 0)
+    (Some
+       (fun ~seq:_ ~attempt:_ req ->
+         if req <> Rpc.Ping then log := Rpc.request_name req :: !log;
+         T.Pass));
+  log
 
-(* --- crash + restart: epoch bump forces a full resync ------------------- *)
+(* The agent's digest equals the intent digest exactly when the verifier
+   finds no intent drift on that switch. *)
+let digest_agrees_with_verifier ctrl =
+  let findings = An.verify ctrl in
+  for idx = 0 to C.switch_count ctrl - 1 do
+    let drift =
+      List.exists
+        (fun (f : An.finding) ->
+          f.An.kind = An.Intent_drift
+          && String.starts_with ~prefix:(Printf.sprintf "sw%d/" idx) f.An.subject)
+        findings
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "sw%d digest matches intent iff no intent drift" idx)
+      (not drift)
+      (Digest.equal (A.digest (fst (C.switch_agent ctrl idx))) (C.intent_digest ctrl idx))
+  done
+
+(* Data-plane entries by leg port, with their live rewriters: a leg that
+   keeps both was never torn down (a [Dataplane.reset] or a
+   re-registration would replace them). Targets are left out, because the
+   agent's own layer selection moves them. *)
+let legs_state dp =
+  D.legs_view dp
+  |> List.map (fun (l : D.leg_view) ->
+         ( l.D.lv_src_port,
+           ( l.D.lv_receiver,
+             l.D.lv_video_ssrc,
+             l.D.lv_dst,
+             l.D.lv_uplink_port,
+             l.D.lv_stream_index,
+             l.D.lv_ssrc_keys ),
+           D.leg_rewriter dp ~leg_port:l.D.lv_src_port ))
+  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+
+let same_rewriter a b =
+  match (a, b) with Some a, Some b -> a == b | None, None -> true | _ -> false
+
+(* --- crash + restart: the blank agent gets one Sync ---------------------- *)
 
 let crash_restart_resyncs () =
   let stack = Common.make_scallop ~seed:31 () in
@@ -78,50 +126,53 @@ let crash_restart_resyncs () =
   Alcotest.(check string)
     "declared dead while down" "dead"
     (C.health_name (C.agent_health stack.controller 0));
-  (* mutate intent while the switch is dead: must not raise, must queue *)
+  let requests = log_requests stack.controller in
+  (* mutate intent while the switch is dead: must not raise, is not shipped *)
   let pids = C.meeting_participants stack.controller mid in
   C.set_pair_target stack.controller ~sender:(List.hd pids)
     ~receiver:(List.nth pids 2) Av1.Dd.DT_15fps;
-  Alcotest.(check bool) "op deferred" true ((health_view stack).C.hv_deferred > 0);
+  Alcotest.(check (list string)) "nothing shipped to a dead switch" [] !requests;
   A.restart stack.agent;
   run_to stack 8.0;
   C.stop_health stack.controller;
   Alcotest.(check string)
     "healthy after heal" "healthy"
     (C.health_name (C.agent_health stack.controller 0));
-  let resyncs =
-    List.filter (fun e -> e.C.re_kind = `Resync) (C.recovery_log stack.controller)
-  in
-  Alcotest.(check bool) "a resync happened" true (resyncs <> []);
-  Alcotest.(check int) "deferred queue empty" 0 (health_view stack).C.hv_deferred;
-  (* the deferred pin was replayed: the meeting runs pair-specific trees
-     (the target itself may keep adapting with feedback afterwards) *)
+  Alcotest.(check (list string)) "one Sync rebuilt the agent" [ "sync" ] !requests;
+  (match C.recovery_log stack.controller with
+  | [ e ] -> Alcotest.(check int) "one RPC" 1 e.C.re_ops
+  | l -> Alcotest.failf "expected one recovery, got %d" (List.length l));
+  (* the pin set while dead came from intent: the meeting runs
+     pair-specific trees (the target itself may keep adapting) *)
   Alcotest.(check bool)
-    "pair pin survived the replay" true
+    "pair pin survived the reboot" true
     (List.exists
        (fun (m : A.meeting_view) -> m.A.amv_pair_specific)
        (A.introspect stack.agent));
-  An.assert_clean ~what:"post crash/restart resync" stack.controller
+  digest_agrees_with_verifier stack.controller;
+  An.assert_clean ~what:"post crash/restart sync" stack.controller
 
-(* --- partition: media continues, control ops defer and drain ------------ *)
+(* --- partition: media continues, one Sync heals, untouched legs stay ----- *)
 
-let partition_keeps_media_flowing () =
+let partition_heals_with_one_sync () =
   let stack = Common.make_scallop ~seed:32 () in
   let _mid, parts = Common.scallop_meeting stack ~participants:4 ~senders:2 () in
   C.start_health stack.controller;
   run_to stack 2.0;
+  let before = legs_state stack.dp in
+  let requests = log_requests stack.controller in
   set_control_loss stack 1.0;
   run_to stack 5.0;
   Alcotest.(check string)
     "partition declared dead" "dead"
     (C.health_name (C.agent_health stack.controller 0));
   let epoch_before = A.epoch stack.agent in
-  (* control-plane mutations while partitioned: defer, don't raise *)
+  (* control-plane mutations while partitioned: not shipped, don't raise *)
   let pids = List.map fst parts in
+  let gone = List.nth pids 2 in
   C.set_pair_target stack.controller ~sender:(List.hd pids)
     ~receiver:(List.nth pids 3) Av1.Dd.DT_7_5fps;
-  C.leave stack.controller (List.nth pids 2);
-  Alcotest.(check bool) "ops deferred" true ((health_view stack).C.hv_deferred >= 2);
+  C.leave stack.controller gone;
   (* the data plane forwards last-known state through the outage *)
   let egress_mid = D.egress_pkts stack.dp in
   run_to stack 6.5;
@@ -132,69 +183,78 @@ let partition_keeps_media_flowing () =
   run_to stack 9.0;
   C.stop_health stack.controller;
   Alcotest.(check int) "agent never rebooted" epoch_before (A.epoch stack.agent);
-  let drains =
-    List.filter (fun e -> e.C.re_kind = `Drain) (C.recovery_log stack.controller)
+  Alcotest.(check (list string)) "the heal cost exactly one Sync" [ "sync" ] !requests;
+  (match C.recovery_log stack.controller with
+  | [ e ] -> Alcotest.(check int) "one RPC" 1 e.C.re_ops
+  | l -> Alcotest.failf "expected one recovery, got %d" (List.length l));
+  Alcotest.(check bool)
+    "the leave landed with the Sync" true
+    (not (List.mem gone (A.meeting_members stack.agent 0)));
+  (* the leaver only receives, so every leg not towards it is untouched
+     by the partition's ops: each kept its port, its data-plane entry and
+     its live rewriter — nothing was reset or re-registered *)
+  let after = legs_state stack.dp in
+  let untouched =
+    List.filter (fun (_, (receiver, _, _, _, _, _), _) -> receiver <> gone) before
   in
-  Alcotest.(check bool) "queue drained (no resync needed)" true (drains <> []);
-  Alcotest.(check int) "deferred queue empty" 0 (health_view stack).C.hv_deferred;
-  (* the deferred leave was applied on drain *)
-  Alcotest.(check bool)
-    "deferred leave applied" true
-    (not
-       (List.mem
-          (C.agent_participant_id stack.controller (List.nth pids 2))
-          (A.meeting_members stack.agent 0)));
-  An.assert_clean ~what:"post partition drain" stack.controller
-
-(* --- deferred-queue overflow: bounded, oldest dropped, resync on heal --- *)
-
-let overflow_forces_resync () =
-  let stack = Common.make_scallop ~seed:33 () in
-  let _mid, parts = Common.scallop_meeting stack ~participants:4 ~senders:2 () in
-  C.start_health
-    ~config:{ C.default_health_config with C.deferred_cap = 3 }
-    stack.controller;
-  run_to stack 1.5;
-  A.crash stack.agent;
-  run_to stack 4.0;
-  let pids = List.map fst parts in
-  let targets = [ Av1.Dd.DT_7_5fps; Av1.Dd.DT_15fps; Av1.Dd.DT_30fps ] in
+  Alcotest.(check int) "legs untouched by the partition" 4 (List.length untouched);
+  Alcotest.(check int) "legs after the heal" 4 (List.length after);
   List.iter
-    (fun t ->
-      List.iter
-        (fun r ->
-          if r <> List.hd pids then
-            C.set_pair_target stack.controller ~sender:(List.hd pids) ~receiver:r t)
-        pids)
-    targets;
-  let h = health_view stack in
-  Alcotest.(check int) "queue capped" 3 h.C.hv_deferred;
-  Alcotest.(check bool) "oldest ops dropped" true (h.C.hv_dropped > 0);
-  let findings = An.verify stack.controller in
-  Alcotest.(check bool)
-    "overflow surfaces as a warning finding" true
-    (List.exists
-       (fun (f : An.finding) ->
-         f.An.kind = An.Deferred_overflow && f.An.severity = An.Warning)
-       findings);
-  Alcotest.(check (list string)) "but not as an error" []
-    (List.map (fun (f : An.finding) -> f.An.explanation) (An.errors findings));
+    (fun (port, entry, rw) ->
+      match List.find_opt (fun (p, _, _) -> p = port) after with
+      | None -> Alcotest.failf "leg %d vanished" port
+      | Some (_, entry', rw') ->
+          if entry <> entry' then Alcotest.failf "leg %d entry changed" port;
+          Alcotest.(check bool)
+            (Printf.sprintf "leg %d kept its rewriter" port)
+            true (same_rewriter rw rw'))
+    untouched;
+  digest_agrees_with_verifier stack.controller;
+  An.assert_clean ~what:"post partition sync" stack.controller
+
+(* --- a reboot under an in-flight Sync still converges -------------------- *)
+
+let crash_under_in_flight_sync () =
+  let stack = Common.make_scallop ~seed:37 () in
+  let mid, _parts = Common.scallop_meeting stack ~participants:3 ~senders:2 () in
+  C.start_health stack.controller;
+  run_to stack 1.2;
+  A.crash stack.agent;
+  run_to stack 3.5;
+  let pids = C.meeting_participants stack.controller mid in
+  C.set_pair_target stack.controller ~sender:(List.hd pids)
+    ~receiver:(List.nth pids 2) Av1.Dd.DT_15fps;
+  (* the first Sync's first transmission is lost, and the switch
+     power-cycles again before the retransmit lands *)
+  let syncs = ref 0 in
+  T.Client.set_request_fault (C.control_channel stack.controller 0)
+    (Some
+       (fun ~seq:_ ~attempt req ->
+         match req with
+         | Rpc.Sync _ ->
+             incr syncs;
+             if !syncs = 1 && attempt = 0 then begin
+               Engine.schedule stack.engine ~after:(Engine.ms 50) (fun () ->
+                   A.crash stack.agent);
+               Engine.schedule stack.engine ~after:(Engine.ms 100) (fun () ->
+                   A.restart stack.agent);
+               T.Drop
+             end
+             else T.Pass
+         | _ -> T.Pass));
   A.restart stack.agent;
   run_to stack 8.0;
   C.stop_health stack.controller;
-  let resyncs =
-    List.filter (fun e -> e.C.re_kind = `Resync) (C.recovery_log stack.controller)
-  in
-  Alcotest.(check bool) "drop forced a full resync" true (resyncs <> []);
-  Alcotest.(check int) "drop counter cleared" 0 (health_view stack).C.hv_dropped;
-  (* the last pinned target per pair came from intent, not the queue *)
-  An.assert_clean ~what:"post overflow resync" stack.controller;
+  Alcotest.(check int) "agent rebooted twice" 2 (A.epoch stack.agent);
+  Alcotest.(check bool) "the retransmit landed on the rebooted agent" true (!syncs >= 2);
+  Alcotest.(check string)
+    "healthy" "healthy"
+    (C.health_name (C.agent_health stack.controller 0));
   Alcotest.(check bool)
-    "no overflow warning after replay" true
-    (not
-       (List.exists
-          (fun (f : An.finding) -> f.An.kind = An.Deferred_overflow)
-          (An.verify stack.controller)))
+    "agent digest equals intent" true
+    (Digest.equal (A.digest stack.agent) (C.intent_digest stack.controller 0));
+  digest_agrees_with_verifier stack.controller;
+  An.assert_clean ~what:"post reboot under an in-flight Sync" stack.controller
 
 (* --- anti-entropy: reconcile repairs a live-but-drifted switch ---------- *)
 
@@ -218,7 +278,55 @@ let reconcile_repairs_drift () =
       Alcotest.failf "expected one successful repair of sw0, got %d"
         (List.length other));
   Alcotest.(check int) "clean after repair" 0 (List.length (An.errors report.An.rr_after));
+  digest_agrees_with_verifier stack.controller;
   An.assert_clean ~what:"post reconcile" stack.controller
+
+(* --- the Sync diff: idempotent, and convergent from any drift ------------ *)
+
+let sync_repairs_any_drift () =
+  let stack = Common.make_scallop ~seed:38 () in
+  let mid, parts = Common.scallop_meeting stack ~participants:3 ~senders:2 () in
+  run_to stack 1.0;
+  let in_sync () =
+    Digest.equal (A.digest stack.agent) (C.intent_digest stack.controller 0)
+  in
+  let resync what =
+    Alcotest.(check (option int)) what (Some 1) (C.resync_switch stack.controller 0);
+    Alcotest.(check bool) (what ^ ": digest equals intent") true (in_sync ());
+    An.assert_clean ~what stack.controller
+  in
+  (* re-applying intent to an agent that already holds it touches nothing *)
+  let legs = legs_state stack.dp in
+  resync "in-sync agent";
+  List.iter2
+    (fun (port, entry, rw) (_, entry', rw') ->
+      if entry <> entry' then Alcotest.failf "leg %d entry changed" port;
+      Alcotest.(check bool) "rewriter kept" true (same_rewriter rw rw'))
+    legs (legs_state stack.dp);
+  (* an unknown meeting, a member re-registered under the wrong egress
+     port (losing its legs) and a leg missing from the data plane all
+     converge *)
+  let member = fst (List.nth parts 2) in
+  ignore (A.dispatch stack.agent (Rpc.New_meeting { meeting = 99 }));
+  A.remove_participant stack.agent ~meeting:mid ~participant:member;
+  A.register_participant stack.agent ~meeting:mid ~participant:member ~egress_port:77
+    ~sends:false;
+  let member = fst (List.nth parts 1) in
+  let info =
+    Option.get (C.participant_sender_info stack.controller (fst (List.hd parts)))
+  in
+  D.unregister_leg stack.dp ~receiver:member ~video_ssrc:info.C.video_ssrc;
+  Alcotest.(check bool) "drift shows in the digest" false (in_sync ());
+  resync "drifted agent";
+  Alcotest.(check (list int)) "only intended meetings" [ mid ]
+    (List.map (fun (m : A.meeting_view) -> m.A.amv_id) (A.introspect stack.agent));
+  Alcotest.(check (list int)) "members restored"
+    (C.meeting_participants stack.controller mid)
+    (List.sort compare (A.meeting_members stack.agent mid));
+  (* a blank agent is the maximal diff *)
+  A.restart stack.agent;
+  Alcotest.(check bool) "blank agent out of sync" false (in_sync ());
+  resync "blank agent"
 
 (* --- flapping switch: the detector counts every transition -------------- *)
 
@@ -262,8 +370,8 @@ let flapping_detector_counts_transitions () =
 let recovery_log_is_bounded () =
   let stack = Common.make_scallop ~seed:36 () in
   ignore (Common.scallop_meeting stack ~participants:2 ~senders:0 ());
-  (* an aggressive detector so 70 power-cycles complete their heal
-     resyncs in a short virtual window *)
+  (* an aggressive detector so 70 power-cycles complete their Syncs in a
+     short virtual window *)
   C.start_health
     ~config:
       {
@@ -271,7 +379,6 @@ let recovery_log_is_bounded () =
         probe_timeout_ns = Engine.ms 25;
         suspect_after = 1;
         dead_after = 2;
-        deferred_cap = 256;
       }
     stack.controller;
   run_to stack 0.5;
@@ -339,7 +446,52 @@ let cluster_failover_resumes_service () =
     (C.intent_fingerprint (Cl.primary cluster));
   An.assert_clean ~what:"post cluster failover" ep
 
-(* --- QCheck: crash + resync-from-intent == never crashed ---------------- *)
+(* --- takeover over in-sync agents leaves the data plane alone ------------ *)
+
+let promote_keeps_data_plane () =
+  let cs = Common.make_cluster ~seed:42 () in
+  let stack = cs.Common.base in
+  let cluster = cs.Common.cluster in
+  ignore (Common.scallop_meeting stack ~participants:4 ~senders:3 ());
+  Cl.start_health cluster;
+  run_to stack 1.5;
+  let legs = legs_state stack.dp in
+  let uplinks =
+    List.sort compare
+      (List.map
+         (fun (u : D.uplink_view) ->
+           (u.D.uv_port, u.D.uv_sender, Scallop.Trees.handle_id u.D.uv_meeting))
+         (D.uplinks_view stack.dp))
+  in
+  let requests = log_requests (Cl.standby cluster) in
+  (* a false-positive failure detection: the standby takes over while
+     the primary and the agent are both fine *)
+  Cl.promote cluster;
+  Alcotest.(check string) "standby acting" "ctl1" (C.label (Cl.endpoint cluster));
+  Alcotest.(check (list string)) "one Sync per switch" [ "sync" ] !requests;
+  run_to stack 2.0;
+  Cl.stop cluster;
+  let legs' = legs_state stack.dp in
+  Alcotest.(check int) "same legs" (List.length legs) (List.length legs');
+  List.iter2
+    (fun (port, entry, rw) (port', entry', rw') ->
+      Alcotest.(check int) "leg port" port port';
+      if entry <> entry' then Alcotest.failf "leg %d entry changed" port;
+      Alcotest.(check bool)
+        (Printf.sprintf "leg %d kept its rewriter" port)
+        true (same_rewriter rw rw'))
+    legs legs';
+  Alcotest.(check (list (triple int int int)))
+    "uplinks and their trees unchanged" uplinks
+    (List.sort compare
+       (List.map
+          (fun (u : D.uplink_view) ->
+            (u.D.uv_port, u.D.uv_sender, Scallop.Trees.handle_id u.D.uv_meeting))
+          (D.uplinks_view stack.dp)));
+  digest_agrees_with_verifier (Cl.endpoint cluster);
+  An.assert_clean ~what:"post takeover" (Cl.endpoint cluster)
+
+(* --- QCheck: crash + sync-from-intent == never crashed ------------------ *)
 
 type op = Join of bool | Leave of int | Target of int * int * int
 
@@ -451,6 +603,7 @@ let execute ?(batch = false) plan ~crash =
   An.assert_clean
     ~what:(if crash then "crashed run" else "baseline run")
     stack.controller;
+  digest_agrees_with_verifier stack.controller;
   canon_agent stack.agent
 
 let canon_to_string c =
@@ -488,16 +641,16 @@ let resync_equiv_prop =
       crashed = baseline)
 
 (* The strongest form of the batching-equivalence claim: a batched run
-   whose switch crashes mid-sequence (possibly mid-batch — buffered ops
-   requeue through the deferred path and resync replays from intent)
-   must land on the same canonical agent state as a per-op run that
-   never crashed at all. *)
+   whose switch crashes mid-sequence (possibly mid-batch — a batch that
+   fails leaves the switch Dead, and its Sync installs intent) must land
+   on the same canonical agent state as a per-op run that never crashed
+   at all. *)
 (* Regression (found by the property above): a batched join whose flush
    straddles the switch's power-cycle. The heartbeat's first pong after
-   the restart used to trigger the resync while the join's batch was
-   still retrying; the replay recreated the meeting from intent and the
+   the restart used to trigger the repair while the join's batch was
+   still retrying; the repair recreated the meeting from intent and the
    batch's retransmit then landed on the healed agent and re-executed —
-   duplicating the member and its legs. The heal now waits for a quiet
+   duplicating the member and its legs. The repair now waits for a quiet
    channel. *)
 let straddling_flush_does_not_double_execute () =
   let plan =
@@ -605,6 +758,7 @@ let execute_cluster plan ~kill =
   An.assert_clean
     ~what:(if kill then "killed-primary run" else "never-killed run")
     ep;
+  digest_agrees_with_verifier ep;
   (match An.errors (An.check_cluster cluster) with
   | [] -> ()
   | fs ->
@@ -646,12 +800,14 @@ let () =
         [
           Alcotest.test_case "crash/restart resyncs from intent" `Quick
             crash_restart_resyncs;
-          Alcotest.test_case "partition: media flows, ops drain" `Quick
-            partition_keeps_media_flowing;
-          Alcotest.test_case "deferred overflow forces resync" `Quick
-            overflow_forces_resync;
+          Alcotest.test_case "partition: media flows, one Sync heals" `Quick
+            partition_heals_with_one_sync;
+          Alcotest.test_case "reboot under an in-flight Sync converges" `Quick
+            crash_under_in_flight_sync;
           Alcotest.test_case "reconcile repairs live drift" `Quick
             reconcile_repairs_drift;
+          Alcotest.test_case "Sync is idempotent and repairs any drift" `Quick
+            sync_repairs_any_drift;
           Alcotest.test_case "straddling flush never double-executes" `Quick
             straddling_flush_does_not_double_execute;
           Alcotest.test_case "flapping detector counts transitions" `Quick
@@ -663,6 +819,8 @@ let () =
         [
           Alcotest.test_case "failover resumes service" `Quick
             cluster_failover_resumes_service;
+          Alcotest.test_case "promote over in-sync agents keeps the data plane"
+            `Quick promote_keeps_data_plane;
         ] );
       ( "equivalence",
         [

@@ -97,6 +97,58 @@ let temporal_precedes () =
   Temporal.feed c (ev "use" [ ("id", "b") ]);
   Alcotest.(check int) "unordered" 1 (List.length (Temporal.finish c))
 
+(* --- sync-converges on a real run ------------------------------------------- *)
+
+(* Drift an agent behind the controller's back just after a heartbeat
+   probe left (the control channel has a 20 ms RTT, so the agent answers
+   with the drifted digest). With health running, that quiet pong pushes
+   a Sync and the agent converges; with health stopped in between, the
+   pong still shows the drift but nothing repairs it, and the rule must
+   fire. *)
+let drift_run ~stop =
+  let module Engine = Netsim.Engine in
+  let module Common = Experiments.Common in
+  let module C = Scallop.Controller in
+  let prev = Trace.level () in
+  Trace.set_level Trace.Rpc;
+  Trace.reset ();
+  let checker = Temporal.create [ Rules.sync_converges () ] in
+  Temporal.attach checker;
+  Fun.protect
+    ~finally:(fun () ->
+      Temporal.detach ();
+      Trace.set_level prev)
+    (fun () ->
+      let stack =
+        Common.make_scallop ~seed:3
+          ~control:(Scallop.Rpc_transport.degraded ~rtt_ns:(Engine.ms 20) ())
+          ()
+      in
+      let mid, parts = Common.scallop_meeting stack ~participants:3 ~senders:2 () in
+      let t0 = Engine.now stack.Common.engine in
+      C.start_health stack.Common.controller;
+      (* the second heartbeat's probe goes out at t0 + 1 s *)
+      Engine.run stack.Common.engine ~until:(t0 + Engine.ms 1005);
+      if stop then C.stop_health stack.Common.controller;
+      Scallop.Switch_agent.remove_participant stack.Common.agent ~meeting:mid
+        ~participant:(fst (List.nth parts 2));
+      Engine.run stack.Common.engine ~until:(t0 + Engine.ms 1400);
+      C.stop_health stack.Common.controller;
+      let in_sync =
+        Digest.equal
+          (Scallop.Switch_agent.digest stack.Common.agent)
+          (C.intent_digest stack.Common.controller 0)
+      in
+      (in_sync, List.map (fun v -> v.Temporal.v_rule) (Temporal.finish checker)))
+
+let sync_converges_rule () =
+  let in_sync, violations = drift_run ~stop:false in
+  Alcotest.(check bool) "running health repaired the drift" true in_sync;
+  Alcotest.(check (list string)) "rule satisfied" [] violations;
+  let in_sync, violations = drift_run ~stop:true in
+  Alcotest.(check bool) "stopped health left the drift" false in_sync;
+  Alcotest.(check (list string)) "rule fires" [ "sync-converges" ] violations
+
 (* --- the acceptance gate --------------------------------------------------- *)
 
 (* Keep test budgets tight: the heal race is reachable with fault-grid
@@ -159,6 +211,8 @@ let () =
           Alcotest.test_case "always" `Quick temporal_always;
           Alcotest.test_case "eventually" `Quick temporal_eventually;
           Alcotest.test_case "precedes" `Quick temporal_precedes;
+          Alcotest.test_case "sync-converges catches an unrepaired drift" `Quick
+            sync_converges_rule;
         ] );
       ( "explore",
         [

@@ -36,7 +36,15 @@ let all_requests =
     Rpc.Unregister_uplink { meeting = 1; port = 133 };
     Rpc.Set_pair_target { meeting = 0; sender = 1; receiver = 2; target = Av1.Dd.DT_7_5fps };
     Rpc.Ping;
-    Rpc.Reset;
+    Rpc.Sync
+      [
+        Rpc.New_meeting { meeting = 4 };
+        Rpc.Register_participant
+          { meeting = 4; participant = 7; egress_port = 140; sends = true };
+        Rpc.Set_pair_target
+          { meeting = 4; sender = 7; receiver = 8; target = Av1.Dd.DT_15fps };
+      ];
+    Rpc.Sync [];
   ]
 
 let codec_roundtrip () =
@@ -54,7 +62,7 @@ let codec_roundtrip () =
     [
       Rpc.Ack;
       Rpc.Error "no such meeting";
-      Rpc.Pong { epoch = 3 };
+      Rpc.Pong { epoch = 3; digest = Rpc.digest [ Rpc.New_meeting { meeting = 1 } ] };
     ]
 
 let codec_rejects_garbage () =
@@ -65,7 +73,23 @@ let codec_rejects_garbage () =
            let _ = Rpc.decode (Bytes.of_string s) in
            false
          with Rpc.Decode_error _ -> true))
-    [ ""; "nonsense"; "req x new-meeting 0"; "req 1 new-meeting"; "rep 1 bogus" ]
+    [
+      "";
+      "nonsense";
+      "req x new-meeting 0";
+      "req 1 new-meeting";
+      "rep 1 bogus";
+      (* decode targets outside the DT range, bare and inside a batch *)
+      "req 1 set-pair-target 0 1 2 7";
+      "req 1 set-pair-target 0 1 2 -1";
+      "req 1 batch 1 5 set-pair-target 0 1 2 7";
+      (* a sync lists state only: no nested sync, batch, fenced or ping *)
+      "req 1 sync 1 2 sync 0";
+      "req 1 sync 1 2 batch 0";
+      "req 1 sync 1 4 fenced 1 new-meeting 0";
+      "req 1 sync 1 1 ping";
+      "rep 1 pong 0 nothex";
+    ]
 
 (* --- raw client/server harness --------------------------------------------- *)
 
@@ -303,7 +327,6 @@ let gen_base_request =
           Rpc.Set_pair_target { meeting; sender; receiver; target })
         (pair (triple i i i) gen_target);
       return Rpc.Ping;
-      return Rpc.Reset;
     ]
 
 (* one level of nesting is enough to exercise the recursive frame codec;
@@ -311,11 +334,17 @@ let gen_base_request =
 let gen_request =
   let open QCheck.Gen in
   let batch g = map (fun ops -> Rpc.Batch ops) (list_size (int_bound 4) g) in
+  let sync =
+    map (fun ops -> Rpc.Sync (List.filter Rpc.state_op ops))
+      (list_size (int_bound 4) gen_base_request)
+  in
   oneof
     [
       gen_base_request;
       batch gen_base_request;
       batch (oneof [ gen_base_request; batch gen_base_request ]);
+      sync;
+      batch sync;
     ]
 
 (* error text is free-form: spaces, empty strings, even leading/trailing
@@ -330,7 +359,9 @@ let gen_base_reply =
   oneof
     [
       return Rpc.Ack;
-      map (fun epoch -> Rpc.Pong { epoch }) (int_bound 1000);
+      map
+        (fun (epoch, s) -> Rpc.Pong { epoch; digest = Digest.string s })
+        (pair (int_bound 1000) string_printable);
       map (fun msg -> Rpc.Error msg) gen_error_msg;
     ]
 
