@@ -29,7 +29,9 @@ type t = {
   mutable started : bool;
   mutable highest_seq : int;
   seq_to_frame : (int, int) Hashtbl.t;  (** recent seq -> frame number *)
-  seq_ring : int array;  (** insertion ring, for pruning seq_to_frame *)
+  mutable seq_ring : int array;
+      (** insertion ring, for pruning seq_to_frame; allocated on the first
+          packet *)
   mutable seq_ring_count : int;
   mutable gaps : gap list;
   (* frame assembly *)
@@ -79,13 +81,13 @@ let create ?(nack_delay_ns = 30_000_000) ?(pli_timeout_ns = 500_000_000) ~ssrc (
     pli_timeout_ns;
     started = false;
     highest_seq = 0;
-    seq_to_frame = Hashtbl.create 512;
-    seq_ring = Array.make seq_window_size (-1);
+    seq_to_frame = Hashtbl.create 16;
+    seq_ring = [||];
     seq_ring_count = 0;
     gaps = [];
-    frames = Hashtbl.create 64;
+    frames = Hashtbl.create 16;
     waiting = Hashtbl.create 16;
-    decoded = Hashtbl.create 256;
+    decoded = Hashtbl.create 16;
     broken = false;
     broken_since = 0;
     last_pli = min_int / 2;
@@ -105,9 +107,9 @@ let create ?(nack_delay_ns = 30_000_000) ?(pli_timeout_ns = 500_000_000) ~ssrc (
     bytes_received = 0;
     fps_series = Timeseries.create ~bin_ns:1_000_000_000;
     bitrate_series = Timeseries.create ~bin_ns:1_000_000_000;
-    jitter_bins = Hashtbl.create 64;
+    jitter_bins = Hashtbl.create 16;
     mouth_to_ear = Stats.Samples.create ();
-    capture_ts = Hashtbl.create 64;
+    capture_ts = Hashtbl.create 16;
     qoe = None;
   }
 
@@ -303,6 +305,7 @@ let clear_gap t ~time_ns seq =
     | None -> ()
 
 let remember_seq t seq =
+  if Array.length t.seq_ring = 0 then t.seq_ring <- Array.make seq_window_size (-1);
   let slot = t.seq_ring_count mod seq_window_size in
   let evicted = t.seq_ring.(slot) in
   if evicted >= 0 then Hashtbl.remove t.seq_to_frame evicted;

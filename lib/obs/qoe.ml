@@ -60,8 +60,8 @@ type t = {
   m2e : Stats.Histogram.t;
   (* Ring of timestamped m2e samples for windowed percentiles; the
      histogram above keeps the all-time distribution for /metrics. *)
-  m2e_ts : int array;
-  m2e_v : float array;
+  mutable m2e_ts : int array;
+  mutable m2e_v : float array;
   mutable m2e_next : int;
   mutable m2e_written : int;
   loss_series : Timeseries.t;
@@ -69,8 +69,8 @@ type t = {
   packet_series : Timeseries.t;
   (* Ring of (trace id, arrival time) — the causal hooks attribution
      walks backwards from. *)
-  tr_id : int array;
-  tr_ts : int array;
+  mutable tr_id : int array;
+  mutable tr_ts : int array;
   mutable tr_next : int;
   mutable tr_written : int;
 }
@@ -86,23 +86,36 @@ let labels_of_key k =
     ("kind", kind_str k.k_kind);
   ]
 
+(* Every series a collector registers, so [reset] can take them back out. *)
+let callbacks =
+  let n f t = float_of_int (f t) in
+  [
+    ("scallop_qoe_packets_total", "Media packets received", n (fun t -> t.packets));
+    ("scallop_qoe_gap_packets_total", "Sequence-gap packets noticed", n (fun t -> t.gap_packets));
+    ( "scallop_qoe_recovered_total",
+      "Gaps later filled (retransmit/reorder)",
+      n (fun t -> t.recovered) );
+    ("scallop_qoe_frames_total", "Frames decoded", n (fun t -> t.frames));
+    ("scallop_qoe_freezes_total", "Playback freeze intervals begun", n (fun t -> t.freeze_count));
+    ( "scallop_qoe_frozen_ms",
+      "Total frozen playback time (closed intervals)",
+      fun t -> float_of_int t.frozen_closed_ns /. 1e6 );
+  ]
+
+let m2e_metric = "scallop_qoe_mouth_to_ear_ms"
+
 let register_metrics t =
   let labels = labels_of_key t.key in
-  let cb name help f = Metrics.register_callback ~labels ~help name f in
-  cb "scallop_qoe_packets_total" "Media packets received" (fun () ->
-      float_of_int t.packets);
-  cb "scallop_qoe_gap_packets_total" "Sequence-gap packets noticed" (fun () ->
-      float_of_int t.gap_packets);
-  cb "scallop_qoe_recovered_total" "Gaps later filled (retransmit/reorder)"
-    (fun () -> float_of_int t.recovered);
-  cb "scallop_qoe_frames_total" "Frames decoded" (fun () -> float_of_int t.frames);
-  cb "scallop_qoe_freezes_total" "Playback freeze intervals begun" (fun () ->
-      float_of_int t.freeze_count);
-  cb "scallop_qoe_frozen_ms" "Total frozen playback time (closed intervals)"
-    (fun () -> float_of_int t.frozen_closed_ns /. 1e6);
+  List.iter
+    (fun (name, help, f) -> Metrics.register_callback ~labels ~help name (fun () -> f t))
+    callbacks;
   Metrics.register_histogram ~labels
-    ~help:"Capture-to-decode latency (virtual-time ms)"
-    "scallop_qoe_mouth_to_ear_ms" t.m2e
+    ~help:"Capture-to-decode latency (virtual-time ms)" m2e_metric t.m2e
+
+let unregister_metrics key =
+  let labels = labels_of_key key in
+  List.iter (fun (name, _, _) -> Metrics.unregister ~labels name) callbacks;
+  Metrics.unregister ~labels m2e_metric
 
 let create_collector ?(bin_ns = default_bin_ns) key =
   let t =
@@ -125,15 +138,15 @@ let create_collector ?(bin_ns = default_bin_ns) key =
       freeze_since = -1;
       freeze_intervals = [];
       m2e = Stats.Histogram.create ~bounds:m2e_bounds ();
-      m2e_ts = Array.make m2e_ring 0;
-      m2e_v = Array.make m2e_ring 0.0;
+      m2e_ts = [||];
+      m2e_v = [||];
       m2e_next = 0;
       m2e_written = 0;
       loss_series = Timeseries.create ~bin_ns;
       recovered_series = Timeseries.create ~bin_ns;
       packet_series = Timeseries.create ~bin_ns;
-      tr_id = Array.make trace_ring (-1);
-      tr_ts = Array.make trace_ring 0;
+      tr_id = [||];
+      tr_ts = [||];
       tr_next = 0;
       tr_written = 0;
     }
@@ -156,7 +169,9 @@ let all () =
   Hashtbl.fold (fun _ t acc -> t :: acc) registry []
   |> List.sort (fun a b -> compare a.key b.key)
 
-let reset () = Hashtbl.reset registry
+let reset () =
+  Hashtbl.iter (fun key _ -> unregister_metrics key) registry;
+  Hashtbl.reset registry
 
 let touch t time_ns =
   if t.first_ns < 0 then t.first_ns <- time_ns;
@@ -193,10 +208,22 @@ let on_frame t ~time_ns ~layer =
   t.layer_frames.(l) <- t.layer_frames.(l) + 1;
   Timeseries.incr t.layer_series.(l) time_ns
 
+(* The sample rings start empty and double on demand up to their cap. A
+   ring wraps only once it holds [cap] entries, so while it is growing
+   slot [next] is the first unused one; [ring_fold] reads it the same
+   either way. *)
+let grown a ~cap ~fill =
+  let n = Array.length a in
+  Array.append a (Array.make (Stdlib.min cap (Stdlib.max 16 (2 * n)) - n) fill)
+
 let on_mouth_to_ear t ~time_ns ~ms =
   if not (Float.is_nan ms) then begin
     touch t time_ns;
     Stats.Histogram.observe t.m2e ms;
+    if t.m2e_next = Array.length t.m2e_ts then begin
+      t.m2e_ts <- grown t.m2e_ts ~cap:m2e_ring ~fill:0;
+      t.m2e_v <- grown t.m2e_v ~cap:m2e_ring ~fill:0.0
+    end;
     t.m2e_ts.(t.m2e_next) <- time_ns;
     t.m2e_v.(t.m2e_next) <- ms;
     t.m2e_next <- (t.m2e_next + 1) mod m2e_ring;
@@ -233,6 +260,10 @@ let on_stall t ~from_ns ~until_ns =
 
 let note_trace t ~time_ns ~trace =
   if trace >= 0 then begin
+    if t.tr_next = Array.length t.tr_id then begin
+      t.tr_id <- grown t.tr_id ~cap:trace_ring ~fill:(-1);
+      t.tr_ts <- grown t.tr_ts ~cap:trace_ring ~fill:0
+    end;
     t.tr_id.(t.tr_next) <- trace;
     t.tr_ts.(t.tr_next) <- time_ns;
     t.tr_next <- (t.tr_next + 1) mod trace_ring;

@@ -9,9 +9,13 @@
     engine ({!Slo}) can evaluate sliding windows and attribution
     ({!Attrib}) can walk back from the victim's recent trace ids.
 
+    The rings start empty and double on demand up to {!m2e_ring} /
+    {!trace_ring} entries, and the series tables start small, so a
+    stream that carries no media costs a few KB.
+
     Collectors register themselves as [scallop_qoe_*] metrics (labelled
-    by key) on creation. All hooks are O(1); windowed queries are only
-    run at evaluation/report time. *)
+    by key) on creation. All hooks are amortized O(1); windowed queries
+    are only run at evaluation/report time. *)
 
 type media = Camera | Screen
 type kind = Video | Audio
@@ -53,10 +57,18 @@ val all : unit -> t list
 (** Every live collector, sorted by key — deterministic iteration order. *)
 
 val reset : unit -> unit
-(** Drop all collectors (fresh world / tests). Does not unregister their
-    metrics; pair with [Metrics.reset]. *)
+(** Drop all collectors (fresh world / tests) and unregister their
+    [scallop_qoe_*] series from {!Metrics}, so nothing keeps an old
+    collector reachable. *)
 
-(** {2 Collection hooks} — all O(1), called from the media path. *)
+val m2e_ring : int
+(** Most recent mouth-to-ear samples a collector keeps for windowed
+    queries. *)
+
+val trace_ring : int
+(** Most recent trace ids a collector keeps for attribution. *)
+
+(** {2 Collection hooks} — all amortized O(1), called from the media path. *)
 
 val on_packet : t -> time_ns:int -> size:int -> unit
 val on_gap : t -> time_ns:int -> count:int -> unit

@@ -2,7 +2,7 @@ type t = { bin_ns : int; tbl : (int, float) Hashtbl.t }
 
 let create ~bin_ns =
   if bin_ns <= 0 then invalid_arg "Timeseries.create: bin_ns";
-  { bin_ns; tbl = Hashtbl.create 256 }
+  { bin_ns; tbl = Hashtbl.create 16 }
 
 let bin_of t time = time / t.bin_ns
 

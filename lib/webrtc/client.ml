@@ -50,7 +50,8 @@ type connection = {
   video_src : Codec.Video_source.t option;
   simulcast_src : Codec.Simulcast_source.t option;
   audio_src : Codec.Audio_source.t option;
-  history : Packet.t option array;
+  mutable history : Packet.t option array;
+      (** retransmission buffer, allocated by the first packet sent *)
   send_fps : Timeseries.t;
   mutable retransmissions : int;
   (* receiver side *)
@@ -114,7 +115,9 @@ let send_rtcp t conn packets = transmit t conn (Rtp.Rtcp.serialize_compound pack
 
 (* --- sender side --------------------------------------------------------- *)
 
-let remember conn pkt = conn.history.(pkt.Packet.sequence mod history_size) <- Some pkt
+let remember conn pkt =
+  if Array.length conn.history = 0 then conn.history <- Array.make history_size None;
+  conn.history.(pkt.Packet.sequence mod history_size) <- Some pkt
 
 (* WebRTC's pacer spreads a frame's packets instead of bursting them onto
    the wire; 500 µs spacing keeps even key frames inside a frame interval
@@ -179,15 +182,18 @@ let sender_report t conn =
   if srs <> [] then
     send_rtcp t conn (srs @ [ Rtp.Rtcp.Sdes [ (conn.video_ssrc, [ Rtp.Rtcp.Cname "scallop-client" ]) ] ])
 
+(* A connection that has sent nothing (a receive connection, or a sender
+   NACKed before its first frame) has no history yet and resends nothing. *)
 let retransmit t conn seqs =
-  List.iter
-    (fun seq ->
-      match conn.history.(seq mod history_size) with
-      | Some pkt when pkt.Packet.sequence = seq ->
-          conn.retransmissions <- conn.retransmissions + 1;
-          transmit t conn (Packet.serialize pkt)
-      | Some _ | None -> ())
-    seqs
+  if Array.length conn.history > 0 then
+    List.iter
+      (fun seq ->
+        match conn.history.(seq mod history_size) with
+        | Some pkt when pkt.Packet.sequence = seq ->
+            conn.retransmissions <- conn.retransmissions + 1;
+            transmit t conn (Packet.serialize pkt)
+        | Some _ | None -> ())
+      seqs
 
 (* --- receiver side ------------------------------------------------------- *)
 
@@ -505,7 +511,7 @@ let make_connection t ~kind ?send_audio ?video_bitrate ?(simulcast = false) ~loc
         (if kind = Send && send_audio then
            Some (Codec.Audio_source.create (Rng.split t.rng) (Codec.Audio_source.default_config ~ssrc:audio_ssrc))
          else None);
-      history = Array.make history_size None;
+      history = [||];
       send_fps = Timeseries.create ~bin_ns:1_000_000_000;
       retransmissions = 0;
       video_rx = (if kind = Recv then Some (Codec.Video_receiver.create ~ssrc:video_ssrc ()) else None);

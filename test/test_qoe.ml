@@ -153,6 +153,95 @@ let qoe_traces_and_layers () =
         (1.0 /. 3.0) share)
     s.Qoe.s_layer_share
 
+let has_qoe_series () =
+  String.split_on_char '\n' (Metrics.dump ())
+  |> List.exists (String.starts_with ~prefix:"scallop_qoe_")
+
+let qoe_reset_unregisters () =
+  fresh ();
+  let weak = Weak.create 1 in
+  (* build the collectors in their own frame so no local keeps one alive *)
+  let[@inline never] populate () =
+    let q = Qoe.collector (key ()) in
+    Qoe.on_mouth_to_ear q ~time_ns:(sec 1.0) ~ms:40.0;
+    ignore (Qoe.collector (key ~kind:Qoe.Audio ()));
+    Weak.set weak 0 (Some q)
+  in
+  populate ();
+  Alcotest.(check bool) "series registered" true (has_qoe_series ());
+  Qoe.reset ();
+  Alcotest.(check bool) "no scallop_qoe_ series after reset" false (has_qoe_series ());
+  Alcotest.(check int) "no collectors" 0 (List.length (Qoe.all ()));
+  Gc.full_major ();
+  Alcotest.(check bool) "old collector collected" false (Weak.check weak 0)
+
+(* The sample rings grow on demand; whatever their size, every windowed
+   query must answer exactly as a model that keeps the last [m2e_ring] /
+   [trace_ring] entries. Streams of up to 40,000 samples of each kind
+   cross every doubling step and both wrap points. *)
+let ring_model_prop =
+  let module Stats = Scallop_util.Stats in
+  let last n l = List.filteri (fun i _ -> i < n) l in
+  QCheck.Test.make ~name:"growing rings match a last-N model" ~count:40
+    QCheck.(triple (int_bound 40_000) (int_bound 40_000) int)
+    (fun (n_m2e, n_tr, seed) ->
+      fresh ();
+      let rng = Random.State.make [| seed |] in
+      let q = Qoe.collector (key ()) in
+      (* newest first *)
+      let m2e = ref [] and traces = ref [] in
+      let time = ref 0 and left_m2e = ref n_m2e and left_tr = ref n_tr in
+      while !left_m2e > 0 || !left_tr > 0 do
+        time := !time + Random.State.int rng 1000;
+        if !left_m2e > 0 && (!left_tr = 0 || Random.State.bool rng) then begin
+          decr left_m2e;
+          let ms =
+            if Random.State.int rng 50 = 0 then Float.nan else Random.State.float rng 500.0
+          in
+          Qoe.on_mouth_to_ear q ~time_ns:!time ~ms;
+          if not (Float.is_nan ms) then m2e := (!time, ms) :: !m2e
+        end
+        else begin
+          decr left_tr;
+          (* negative ids are untraced packets, which the ring ignores *)
+          let trace = Random.State.int rng 5000 - 50 in
+          Qoe.note_trace q ~time_ns:!time ~trace;
+          if trace >= 0 then traces := (!time, trace) :: !traces
+        end
+      done;
+      let m2e = last Qoe.m2e_ring !m2e and traces = last Qoe.trace_ring !traces in
+      let window () =
+        let pick () = Random.State.int rng (!time + 21) - 10 in
+        (pick (), pick ())
+      in
+      let windows = (min_int, max_int) :: List.init 6 (fun _ -> window ()) in
+      List.for_all
+        (fun (from_ns, until_ns) ->
+          let inside l = List.filter (fun (ts, _) -> ts >= from_ns && ts <= until_ns) l in
+          let vs = List.map snd (inside m2e) in
+          let p = Random.State.float rng 100.0 in
+          let threshold_ms = Random.State.float rng 500.0 in
+          let pct_model =
+            match vs with
+            | [] -> None
+            | vs ->
+                let a = Array.of_list vs in
+                Array.sort Float.compare a;
+                Some (Stats.percentile_of_array a p)
+          in
+          let bad_model =
+            match vs with
+            | [] -> None
+            | vs ->
+                let bad = List.length (List.filter (fun v -> v > threshold_ms) vs) in
+                Some (float_of_int bad /. float_of_int (List.length vs))
+          in
+          Qoe.m2e_percentile_between q ~from_ns ~until_ns ~p = pct_model
+          && Qoe.m2e_bad_fraction_between q ~from_ns ~until_ns ~threshold_ms = bad_model
+          && Qoe.traces_between q ~from_ns ~until_ns
+             = List.sort_uniq compare (List.map snd (inside traces)))
+        windows)
+
 (* --- SLO burn-rate engine --------------------------------------------------- *)
 
 let loss_spec =
@@ -523,6 +612,8 @@ let () =
           t "freeze windows" `Quick qoe_freeze_windows;
           t "mouth-to-ear windows" `Quick qoe_m2e_windows;
           t "traces and layer clamping" `Quick qoe_traces_and_layers;
+          t "reset unregisters and frees" `Quick qoe_reset_unregisters;
+          QCheck_alcotest.to_alcotest ring_model_prop;
         ] );
       ( "slo",
         [

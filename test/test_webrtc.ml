@@ -183,6 +183,60 @@ let fresh_ports_unique () =
   let ports = List.init 100 (fun _ -> Client.fresh_port c) in
   Alcotest.(check int) "all distinct" 100 (List.length (List.sort_uniq compare ports))
 
+(* A receive stream that never carries media must cost almost nothing:
+   rings, tables and the retransmission history grow on first use. *)
+let idle_connection_footprint () =
+  Scallop_obs.Qoe.reset ();
+  let engine, rng, network = setup () in
+  let a = mk_client engine network rng ~ip_str:"10.5.0.1" () in
+  let peer = Addr.v (Addr.ip_of_string "10.5.0.9") 9 in
+  Network.add_host network ~ip:peer.Addr.ip ();
+  let recv =
+    Client.add_recv_connection a ~local_port:23_000 ~remote:peer ~video_ssrc:1 ~audio_ssrc:2
+  in
+  Client.attach_qoe recv ~meeting:0 ~receiver:1 ~sender:2 ~media:Scallop_obs.Qoe.Camera;
+  let send =
+    Client.add_send_connection a ~local_port:23_001 ~remote:peer ~video_ssrc:3 ~audio_ssrc:4
+  in
+  let words = Obj.reachable_words (Obj.repr recv) in
+  Alcotest.(check bool)
+    (Printf.sprintf "idle receive connection %d words <= 4096" words)
+    true (words <= 4096);
+  let words = Obj.reachable_words (Obj.repr send) in
+  Alcotest.(check bool)
+    (Printf.sprintf "idle send connection %d words <= 512" words)
+    true (words <= 512)
+
+(* A NACK reaching a connection that has sent nothing yet finds no
+   history: nothing is resent and nothing raises. *)
+let nack_without_history () =
+  let nack_to conn network =
+    Network.send network
+      (Netsim.Dgram.v ~src:(Client.remote_addr conn) ~dst:(Client.local_addr conn)
+         (Rtp.Rtcp.serialize_compound
+            [ Rtp.Rtcp.Nack { sender_ssrc = 0; media_ssrc = 111; lost = [ 0; 1; 1023; 1024 ] } ]))
+  in
+  (* a receive connection, mid-call *)
+  let engine, network, (_, _, a_recv), _ = p2p_pair () in
+  Engine.run engine ~until:(Engine.sec 1.0);
+  nack_to a_recv network;
+  Engine.run engine ~until:(Engine.sec 1.5);
+  Alcotest.(check int) "receive connection got the NACK" 1 (Client.nacks_received a_recv);
+  Alcotest.(check int) "receive connection resent nothing" 0 (Client.retransmissions a_recv);
+  (* a sender whose peer never answers ICE, so no frame has left yet *)
+  let engine, rng, network = setup () in
+  let a = mk_client engine network rng ~ip_str:"10.6.0.1" () in
+  let peer = Addr.v (Addr.ip_of_string "10.6.0.9") 9 in
+  Network.add_host network ~ip:peer.Addr.ip ();
+  let send =
+    Client.add_send_connection a ~local_port:24_000 ~remote:peer ~video_ssrc:111 ~audio_ssrc:112
+  in
+  nack_to send network;
+  Engine.run engine ~until:(Engine.sec 0.5);
+  Alcotest.(check bool) "sender not connected" false (Client.connected send);
+  Alcotest.(check int) "sender got the NACK" 1 (Client.nacks_received send);
+  Alcotest.(check int) "sender resent nothing" 0 (Client.retransmissions send)
+
 let () =
   Alcotest.run "webrtc"
     [
@@ -201,5 +255,7 @@ let () =
           Alcotest.test_case "fresh ports" `Quick fresh_ports_unique;
           Alcotest.test_case "ice gates media" `Quick ice_gates_media;
           Alcotest.test_case "bye on close" `Quick bye_sent_on_close;
+          Alcotest.test_case "idle connection footprint" `Quick idle_connection_footprint;
+          Alcotest.test_case "nack without history" `Quick nack_without_history;
         ] );
     ]
