@@ -195,7 +195,7 @@ let fanout_run ~mode ~receivers ~packets =
       gs_promoted_words = gc1.Gc.promoted_words -. gc0.Gc.promoted_words;
     }
   in
-  (pps, hist, Scallop.Dataplane.fastpath_stats dp, gc)
+  (pps, hist, dp, gc)
 
 let json_escape s =
   let b = Buffer.create (String.length s) in
@@ -224,11 +224,14 @@ let fanout_bench ~quick ~micro ~gc_stats =
   let p50 h = Scallop_util.Stats.Histogram.percentile h 50.0 in
   let p99 h = Scallop_util.Stats.Histogram.percentile h 99.0 in
   let slow_pps, slow_hist, _, slow_gc = best Scallop.Dataplane.Slow in
-  let fast_pps, fast_hist, fast_stats, fast_gc = best Scallop.Dataplane.Fast in
+  let fast_pps, fast_hist, fast_dp, fast_gc = best Scallop.Dataplane.Fast in
+  let fast_stats = Scallop.Dataplane.fastpath_stats fast_dp in
+  let fast_pool = Scallop.Dataplane.pool_stats fast_dp in
   let paranoid_ok =
     (* differential gate: both paths over the same stream, byte-compared *)
     match fanout_run ~mode:Scallop.Dataplane.Paranoid ~receivers ~packets:(min packets 2_000) with
-    | _, _, s, _ -> s.Scallop.Dataplane.fp_paranoid_mismatches = 0
+    | _, _, dp, _ ->
+        (Scallop.Dataplane.fastpath_stats dp).Scallop.Dataplane.fp_paranoid_mismatches = 0
     | exception Scallop.Dataplane.Differential_mismatch msg ->
         Printf.printf "DIFFERENTIAL MISMATCH: %s\n" msg;
         false
@@ -253,9 +256,9 @@ let fanout_bench ~quick ~micro ~gc_stats =
     fast_stats.Scallop.Dataplane.fp_cache_hits fast_stats.Scallop.Dataplane.fp_cache_misses;
   Printf.printf "speedup:   %10.2fx\n" speedup;
   Printf.printf "pool:      %d recycled / %d fresh checkouts, high water %d live\n"
-    fast_stats.Scallop.Dataplane.fp_pool_recycled
-    fast_stats.Scallop.Dataplane.fp_pool_fresh
-    fast_stats.Scallop.Dataplane.fp_pool_high_water;
+    fast_pool.Scallop_util.Bufpool.recycled
+    fast_pool.Scallop_util.Bufpool.fresh
+    fast_pool.Scallop_util.Bufpool.high_water;
   Printf.printf "paranoid differential check: %s\n" (if paranoid_ok then "ok" else "FAILED");
   Printf.printf "alloc budget gate (<= %d B/pkt): %s\n" alloc_budget
     (if gate_alloc_ok then "ok" else "FAILED");
@@ -280,9 +283,9 @@ let fanout_bench ~quick ~micro ~gc_stats =
     (p50 slow_hist) (p99 slow_hist) (p50 fast_hist) (p99 fast_hist)
     slow_gc.gs_alloc_bytes_per_pkt fast_gc.gs_alloc_bytes_per_pkt
     slow_gc.gs_minor_gcs fast_gc.gs_minor_gcs alloc_budget
-    fast_stats.Scallop.Dataplane.fp_pool_recycled
-    fast_stats.Scallop.Dataplane.fp_pool_fresh
-    fast_stats.Scallop.Dataplane.fp_pool_high_water
+    fast_pool.Scallop_util.Bufpool.recycled
+    fast_pool.Scallop_util.Bufpool.fresh
+    fast_pool.Scallop_util.Bufpool.high_water
     paranoid_ok gate_alloc_ok gate_p99_ok gate_speedup_ok
     fast_stats.Scallop.Dataplane.fp_cache_hits
     fast_stats.Scallop.Dataplane.fp_cache_misses

@@ -316,10 +316,11 @@ let simulate_cmd =
       fp.Scallop.Dataplane.fp_replica_copies fp.Scallop.Dataplane.fp_cache_hits
       fp.Scallop.Dataplane.fp_cache_misses fp.Scallop.Dataplane.fp_cache_invalidations
       fp.Scallop.Dataplane.fp_cache_entries;
+    let pool = Scallop.Dataplane.pool_stats stack.Experiments.Common.dp in
     Printf.printf
       "replica pool: %d recycled / %d fresh checkouts, high water %d, %d still live\n"
-      fp.Scallop.Dataplane.fp_pool_recycled fp.Scallop.Dataplane.fp_pool_fresh
-      fp.Scallop.Dataplane.fp_pool_high_water fp.Scallop.Dataplane.fp_pool_live;
+      pool.Scallop_util.Bufpool.recycled pool.Scallop_util.Bufpool.fresh
+      pool.Scallop_util.Bufpool.high_water pool.Scallop_util.Bufpool.live;
     if paranoid then
       Printf.printf "paranoid: %d egress datagrams byte-compared, %d mismatches\n"
         fp.Scallop.Dataplane.fp_paranoid_checks

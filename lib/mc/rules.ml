@@ -467,12 +467,13 @@ let fence_monotone () =
     ~final:(fun ~now:_ -> [])
 
 (* R11 — no op from a deposed epoch ever executes: once an agent accepts
-   a fenced op under epoch f, it must reject (Stale_fence) anything
-   fenced below f. Scoped per agent boot — a restarted agent forgets its
-   fence (by design) and the acting primary's next fenced request
-   re-installs it. A fresh execution (replayed=false) that was not
-   rejected and carries a fence below the agent's high-water mark is the
-   split-brain signature the skip-fencing-check mutation plants. *)
+   an op under epoch f, it must reject (Stale_fence) anything fenced
+   below f; every request carries a fence. Scoped per agent boot — a
+   restarted agent forgets its fence (by design) and the acting
+   primary's next request re-installs it. A fresh execution
+   (replayed=false) that was not rejected and carries a fence below the
+   agent's high-water mark is the split-brain signature the
+   skip-fencing-check mutation plants. *)
 let no_deposed_exec () =
   let restarts : (string, int) Hashtbl.t = Hashtbl.create 4 in
   let hi : (string * int, int * int) Hashtbl.t = Hashtbl.create 8 in
@@ -493,35 +494,33 @@ let no_deposed_exec () =
         && arg_s ev "replayed" = Some "false"
         && arg_s ev "rejected" <> Some "true"
       then begin
-        match arg_i ev "fence" with
-        | None -> [] (* unfenced request: single-controller traffic *)
-        | Some f -> (
-            let a = agent_s ev in
-            let era = Option.value ~default:0 (Hashtbl.find_opt restarts a) in
-            match Hashtbl.find_opt hi (a, era) with
-            | Some (f', at) when f < f' ->
-                [
-                  {
-                    v_rule = "no-deposed-exec";
-                    v_detail =
-                      Printf.sprintf
-                        "agent %s executed %s seq=%d under deposed fence %d \
-                         after accepting fence %d (event %d, same boot)"
-                        a
-                        (Option.value ~default:"?" (arg_s ev "name"))
-                        (req "seq" (arg_i ev "seq"))
-                        f f' at;
-                    v_ts = ev.ts;
-                    v_events = [ at; idx ];
-                  };
-                ]
-            | Some (f', _) when f > f' ->
-                Hashtbl.replace hi (a, era) (f, idx);
-                []
-            | Some _ -> []
-            | None ->
-                Hashtbl.replace hi (a, era) (f, idx);
-                [])
+        let f = req "fence" (arg_i ev "fence") in
+        let a = agent_s ev in
+        let era = Option.value ~default:0 (Hashtbl.find_opt restarts a) in
+        match Hashtbl.find_opt hi (a, era) with
+        | Some (f', at) when f < f' ->
+            [
+              {
+                v_rule = "no-deposed-exec";
+                v_detail =
+                  Printf.sprintf
+                    "agent %s executed %s seq=%d under deposed fence %d after \
+                     accepting fence %d (event %d, same boot)"
+                    a
+                    (Option.value ~default:"?" (arg_s ev "name"))
+                    (req "seq" (arg_i ev "seq"))
+                    f f' at;
+                v_ts = ev.ts;
+                v_events = [ at; idx ];
+              };
+            ]
+        | Some (f', _) when f > f' ->
+            Hashtbl.replace hi (a, era) (f, idx);
+            []
+        | Some _ -> []
+        | None ->
+            Hashtbl.replace hi (a, era) (f, idx);
+            []
       end
       else [])
     ~final:(fun ~now:_ -> [])

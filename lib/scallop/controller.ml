@@ -128,8 +128,8 @@ type role = Acting | Standby | Deposed
     the current fencing epoch and is the only instance that may mutate;
     a [Standby] tails the journal (rejecting direct API calls); a
     [Deposed] instance discovered a newer fence and refuses everything
-    until restarted. A journal-less controller is a cluster of one,
-    permanently [Acting]. *)
+    until restarted. A lone controller is a cluster of one: acting from
+    [create], it can still crash, rebuild from its journal and promote. *)
 
 exception Unavailable
 (** The controller cannot take this operation: it is killed, or it is a
@@ -179,7 +179,7 @@ type t = {
   batch : bool;  (** flush wire ops at operation boundaries, not after each op *)
   buffers : Rpc.request Queue.t array;  (** per-agent wire-op buffer (FIFO) *)
   flushing : bool array;  (** per-agent reentrancy guard around a flush *)
-  journal : persisted Journal.t option;  (** None = cluster of one *)
+  journal : persisted Journal.t;  (** private unless shared by a cluster *)
   mutable role : role;
   mutable fence : int;  (** fencing epoch this instance acts under *)
   mutable recovering : bool;
@@ -242,12 +242,23 @@ let create_health ~label n =
         "scallop_ctrl_recovery_log_dropped";
   }
 
+(* The epoch this instance acts under; its RPC clients stamp it on every
+   request envelope they submit from now on. *)
+let set_fence t fence =
+  t.fence <- fence;
+  Array.iter (fun c -> Rpc_transport.Client.set_fence c fence) t.rpcs
+
 let create engine network rng ~agents ?(control = Rpc_transport.default)
     ?(batch = false) ?journal ?(standby = false) ?(label = "ctl")
     ?(ip = controller_ip) () =
   if agents = [] then invalid_arg "Controller.create: need at least one switch agent";
-  if standby && journal = None then
-    invalid_arg "Controller.create: a standby needs a journal to tail";
+  let journal =
+    match journal with
+    | Some j -> j
+    | None when standby ->
+        invalid_arg "Controller.create: a standby needs a journal to tail"
+    | None -> Journal.create ()
+  in
   let agents = Array.of_list agents in
   let rpcs =
     Array.mapi
@@ -289,12 +300,9 @@ let create engine network rng ~agents ?(control = Rpc_transport.default)
       applied = -1;
     }
   in
-  (match journal with
-  | Some j when not standby ->
-      (* fresh primary over a (possibly pre-populated) journal: own the
-         next fencing epoch from the start *)
-      t.fence <- Journal.acquire_fence j
-  | _ -> ());
+  (* a fresh primary over a (possibly pre-populated) journal owns the
+     next fencing epoch from the start *)
+  if not standby then set_fence t (Journal.acquire_fence journal);
   t
 
 let fresh_sfu_port t =
@@ -353,11 +361,11 @@ let check_switch fn t idx =
 
 (* --- fencing ---------------------------------------------------------------
 
-   With a journal present every wire op carries the instance's fencing
-   epoch ([Rpc.Fenced]); agents reject anything older than the highest
-   fence they have seen ([Rpc.Stale_fence]), and the journal itself
-   rejects appends under a superseded fence. Either rejection deposes
-   this instance: a standby has been promoted and owns a higher epoch. *)
+   Every request envelope carries the instance's fencing epoch; agents
+   reject anything older than the highest fence they have seen
+   ([Rpc.Stale_fence]), and the journal itself rejects appends under a
+   superseded fence. Either rejection deposes this instance: a standby
+   has been promoted and owns a higher epoch. *)
 
 let ctrl_arg t = ("ctrl", Trace.S t.label)
 
@@ -383,20 +391,12 @@ let ensure_usable t =
    (stale fence) means the op was neither journaled nor executed — the
    caller retries against the acting instance. *)
 let journaled t op =
-  match t.journal with
-  | Some j when not t.recovering -> (
-      match Journal.append j ~fence:t.fence op with
-      | idx -> t.applied <- idx
-      | exception Journal.Deposed { current; _ } ->
-          depose t ~fence:current;
-          raise Deposed_primary)
-  | _ -> ()
-
-(* Wrap a wire op in the instance's fencing epoch — only in cluster
-   mode, so a journal-less controller's wire bytes stay exactly as they
-   always were. *)
-let wire t req =
-  match t.journal with None -> req | Some _ -> Rpc.Fenced { fence = t.fence; op = req }
+  if not t.recovering then
+    match Journal.append t.journal ~fence:t.fence op with
+    | idx -> t.applied <- idx
+    | exception Journal.Deposed { current; _ } ->
+        depose t ~fence:current;
+        raise Deposed_primary
 
 (* Check the journal for a newer fence and self-depose if one exists —
    the lease check the cluster beat timer runs on the acting primary, so
@@ -405,13 +405,12 @@ let wire t req =
    The skip-fencing mutation disables this too: the model checker must
    be able to drive the resulting split brain to a double execution. *)
 let refresh_role t =
-  match t.journal with
-  | Some j
-    when t.role = Acting
-         && (not (Mutation.on Mutation.Skip_fencing_check))
-         && Journal.fence j > t.fence ->
-      depose t ~fence:(Journal.fence j)
-  | _ -> ()
+  let current = Journal.fence t.journal in
+  if
+    t.role = Acting
+    && (not (Mutation.on Mutation.Skip_fencing_check))
+    && current > t.fence
+  then depose t ~fence:current
 
 let create_meeting t =
   ensure_usable t;
@@ -466,7 +465,7 @@ let raise_timed_out req err =
 (* One blocking call; [None] means the transport gave up and the switch
    is now Dead. *)
 let call t idx req =
-  match Rpc_transport.Client.call t.rpcs.(idx) (wire t req) with
+  match Rpc_transport.Client.call t.rpcs.(idx) req with
   | Ok (Rpc.Stale_fence { fence }) ->
       (* the agent has seen a higher fencing epoch: a standby was
          promoted over us — stand down instead of retrying *)
@@ -1299,7 +1298,8 @@ let heartbeat_tick t =
       Rpc_transport.Client.probe t.rpcs.(idx) ~timeout_ns:h.hc.probe_timeout_ns Rpc.Ping
         ~on_result:(function
           | Ok (Rpc.Pong { epoch; digest }) -> on_pong t idx ~epoch ~digest
-          | Ok (Rpc.Ack | Rpc.Error _ | Rpc.Batch_reply _ | Rpc.Stale_fence _)
+          | Ok (Rpc.Stale_fence { fence }) -> if h.hs_running then depose t ~fence
+          | Ok (Rpc.Ack | Rpc.Error _ | Rpc.Batch_reply _)
           | Error (`Timeout | `Gave_up _) ->
               if h.hs_running then on_miss t idx))
     h.hs_agents
@@ -1563,28 +1563,25 @@ let apply_journal_op t (op : Journal.op) =
    number of entries applied. This is both the standby's tailing step
    and the restarted controller's crash rebuild. *)
 let apply_tail t =
-  match t.journal with
-  | None -> 0
-  | Some j ->
-      (match Journal.snapshot j with
-      | Some (ps, index) when index > t.applied ->
-          restore t ps;
-          t.applied <- index
-      | Some _ | None -> ());
-      let entries = Journal.entries_after j t.applied in
-      if entries <> [] then begin
-        let was = t.recovering in
-        t.recovering <- true;
-        Fun.protect
-          ~finally:(fun () -> t.recovering <- was)
-          (fun () ->
-            List.iter
-              (fun (e : Journal.entry) ->
-                apply_journal_op t e.Journal.e_op;
-                t.applied <- e.Journal.e_index)
-              entries)
-      end;
-      List.length entries
+  (match Journal.snapshot t.journal with
+  | Some (ps, index) when index > t.applied ->
+      restore t ps;
+      t.applied <- index
+  | Some _ | None -> ());
+  let entries = Journal.entries_after t.journal t.applied in
+  if entries <> [] then begin
+    let was = t.recovering in
+    t.recovering <- true;
+    Fun.protect
+      ~finally:(fun () -> t.recovering <- was)
+      (fun () ->
+        List.iter
+          (fun (e : Journal.entry) ->
+            apply_journal_op t e.Journal.e_op;
+            t.applied <- e.Journal.e_index)
+          entries)
+  end;
+  List.length entries
 
 let alive t = not t.killed
 
@@ -1611,13 +1608,11 @@ let kill t =
    a standby — it must win a {!promote} before acting again, which is
    also what re-fences the agents and re-materializes their state. *)
 let restart t =
-  if t.journal = None then
-    invalid_arg "Controller.restart: no journal to rebuild from";
   if t.killed then begin
     t.killed <- false;
     Array.iter (fun c -> Rpc_transport.Client.set_muted c false) t.rpcs;
     t.role <- Standby;
-    t.fence <- 0;
+    set_fence t 0;
     Hashtbl.reset t.meetings;
     Hashtbl.reset t.participants;
     Hashtbl.reset t.egress_ports;
@@ -1651,24 +1646,20 @@ let restart t =
    first so a switch that is down during the takeover is simply marked
    Dead and repaired by its next pong. *)
 let promote ?health_config t =
-  match t.journal with
-  | None -> invalid_arg "Controller.promote: no journal"
-  | Some j ->
-      if t.killed then invalid_arg "Controller.promote: controller is killed";
-      ignore (apply_tail t);
-      t.fence <- Journal.acquire_fence j;
-      t.role <- Acting;
-      t.recovering <- false;
-      if Trace.enabled Trace.Rpc then
-        Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "ctrl_activate"
-          ~args:[ ctrl_arg t; ("fence", Trace.I t.fence) ];
-      start_health ?config:health_config t;
-      Array.iteri (fun idx _ -> ignore (resync_switch t idx)) t.agents
+  if t.killed then invalid_arg "Controller.promote: controller is killed";
+  ignore (apply_tail t);
+  set_fence t (Journal.acquire_fence t.journal);
+  t.role <- Acting;
+  t.recovering <- false;
+  if Trace.enabled Trace.Rpc then
+    Trace.instant ~ts:(Engine.now t.engine) ~cat:"ctrl" "ctrl_activate"
+      ~args:[ ctrl_arg t; ("fence", Trace.I t.fence) ];
+  start_health ?config:health_config t;
+  Array.iteri (fun idx _ -> ignore (resync_switch t idx)) t.agents
 
 let role t = t.role
 let fence t = t.fence
 let label t = t.label
-let journal t = t.journal
 let journal_applied t = t.applied
 let recovering t = t.recovering
 
@@ -1676,7 +1667,4 @@ let recovering t = t.recovering
    snapshot [t]'s state at its high-water mark, dropping the entries it
    covers. Callers pass the standby (after a tail step), never an acting
    instance that might be mid-operation. *)
-let compact_journal t =
-  match t.journal with
-  | None -> ()
-  | Some j -> Journal.install_snapshot j ~index:t.applied (capture t)
+let compact_journal t = Journal.install_snapshot t.journal ~index:t.applied (capture t)

@@ -53,11 +53,12 @@ val create :
     batch reply is cached under its sequence number) and failure
     handling are the same under both policies.
 
-    [journal] puts the instance in cluster mode: every mutation is
-    write-ahead logged there under the instance's fencing epoch, and
-    every wire op is fenced (see the fault-tolerance section below). A
-    journal-less controller behaves exactly as before — unfenced wire
-    ops, no write-ahead logging.
+    Every controller journals and fences: each mutation is write-ahead
+    logged under the instance's fencing epoch, and every request
+    envelope carries that epoch (see the fault-tolerance section
+    below). [journal] names a log shared by a cluster; by default the
+    instance gets a fresh private one, and a lone controller is a
+    cluster of one that acquires fence 1 here.
 
     [standby] (default [false], requires [journal]) creates the instance
     as a tailing standby instead of an acting primary. [label] (default
@@ -323,8 +324,9 @@ val introspect : t -> intent
 
 (** {1 Controller fault tolerance: journal, crash-rebuild, fenced failover}
 
-    In cluster mode (a [journal] was passed to {!create}) the controller
-    tier survives the loss of the controller itself:
+    Every controller journals and fences, so the controller tier — a
+    lone instance or a {!Cluster} pair sharing one journal — survives
+    the loss of the controller itself:
 
     - {b Write-ahead intent journal} — every public mutation is appended
       to the journal under the instance's fencing epoch {e before} it
@@ -361,11 +363,10 @@ exception Deposed_primary
 
 val role : t -> role
 val fence : t -> int
-(** The fencing epoch this instance acts under (0 for a journal-less
-    controller and for a standby that has never been promoted). *)
+(** The fencing epoch this instance acts under, stamped on every request
+    envelope it sends (0 for a standby that has never been promoted). *)
 
 val label : t -> string
-val journal : t -> persisted Journal.t option
 val journal_applied : t -> int
 (** Highest journal index reflected in this instance's intent, [-1]
     before anything was applied. *)
@@ -382,7 +383,8 @@ val restart : t -> unit
 (** Restart a {!kill}ed instance with blank memory: intent is rebuilt
     from the journal alone (snapshot restore + suffix replay, no wire
     traffic), and the instance comes back as a [Standby] — it must be
-    {!promote}d before acting. Requires a journal. *)
+    {!promote}d before acting. Every controller journals, so a lone
+    instance recovers the same way. *)
 
 val promote : ?health_config:health_config -> t -> unit
 (** Take over as acting primary: catch up with the journal, mint a new

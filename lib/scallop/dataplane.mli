@@ -39,15 +39,13 @@ val create :
   Netsim.Engine.t ->
   Netsim.Network.t ->
   ip:int ->
-  ?pre_limits:Tofino.Pre.limits ->
-  ?pipeline_latency_ns:int ->
-  ?cpu_port_latency_ns:int ->
   ?header_auth:bool ->
   ?mode:mode ->
   ?obs_label:string ->
   unit ->
   t
-(** Defaults: 600 ns pipeline, 50 µs CPU port, [Fast] forwarding mode.
+(** A Tofino2-sized PRE ({!Tofino.Pre.tofino2_limits}), a 600 ns
+    pipeline and a 50 µs CPU port; [Fast] forwarding mode by default.
 
     [obs_label] (default ["sw0"]) names this switch in the metrics
     registry (label [switch="..."] on the [scallop_dp_*] series) and is
@@ -196,15 +194,12 @@ type fastpath_stats = {
   fp_cache_misses : int;
   fp_cache_invalidations : int;
   fp_cache_entries : int;  (** resident PRE fan-out cache entries *)
-  fp_pool_live : int;  (** replica buffers currently checked out of the pool *)
-  fp_pool_high_water : int;  (** peak simultaneously-live replica buffers *)
-  fp_pool_recycled : int;  (** replica checkouts served from a free list *)
-  fp_pool_fresh : int;  (** replica checkouts that had to allocate *)
 }
 
 val fastpath_stats : t -> fastpath_stats
 (** Fast-path and PRE fan-out cache counters, for experiments and
-    [scallop_cli check]. A view over the registry-backed
+    [scallop_cli check]. The replica pool's counters live in
+    {!pool_stats}. A view over the registry-backed
     [scallop_dp_*] / [scallop_pre_cache_*] series (see
     {!Scallop_obs.Metrics}). *)
 

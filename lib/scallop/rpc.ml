@@ -38,7 +38,6 @@ type request =
   | Ping
   | Batch of request list
   | Sync of request list
-  | Fenced of { fence : int; op : request }
 
 type reply =
   | Ack
@@ -48,12 +47,12 @@ type reply =
   | Stale_fence of { fence : int }
 
 type message =
-  | Request of { seq : int; request : request }
+  | Request of { seq : int; fence : int; request : request }
   | Reply of { seq : int; reply : reply }
 
 exception Decode_error of string
 
-let rec request_name = function
+let request_name = function
   | New_meeting _ -> "new-meeting"
   | Register_participant _ -> "register-participant"
   | Register_uplink _ -> "register-uplink"
@@ -64,21 +63,20 @@ let rec request_name = function
   | Ping -> "ping"
   | Batch _ -> "batch"
   | Sync _ -> "sync"
-  | Fenced { op; _ } -> request_name op
 
 let state_op = function
   | New_meeting _ | Register_participant _ | Register_uplink _ | Register_leg _
   | Set_pair_target _ ->
       true
-  | Remove_participant _ | Unregister_uplink _ | Ping | Batch _ | Sync _ | Fenced _ ->
-      false
+  | Remove_participant _ | Unregister_uplink _ | Ping | Batch _ | Sync _ -> false
 
 (* --- wire codec --------------------------------------------------------------
 
    Space-separated text, one message per datagram: a direction tag, the
-   sequence number, the operation name, then the operation's fields in
-   declaration order. Textual like the SDP path so control traffic is
-   inspectable in traces and its wire size is honest. *)
+   sequence number, for a request its fence, then the operation name and
+   the operation's fields in declaration order. Textual like the SDP path
+   so control traffic is inspectable in traces and its wire size is
+   honest. *)
 
 let bool_field b = if b then "1" else "0"
 
@@ -143,7 +141,6 @@ let rec encode_request r =
   | Ping -> [ "ping" ]
   | Batch ops -> encode_list "batch" ops
   | Sync ops -> encode_list "sync" ops
-  | Fenced { fence; op } -> "fenced" :: string_of_int fence :: encode_request op
 
 and encode_list name ops =
   name
@@ -163,7 +160,8 @@ let rec encode_reply = function
 let encode msg =
   let fields =
     match msg with
-    | Request { seq; request } -> "req" :: string_of_int seq :: encode_request request
+    | Request { seq; fence; request } ->
+        "req" :: string_of_int seq :: string_of_int fence :: encode_request request
     | Reply { seq; reply } -> "rep" :: string_of_int seq :: encode_reply reply
   in
   Bytes.of_string (String.concat " " fields)
@@ -276,8 +274,6 @@ let rec decode_request = function
                fail "sync: %s cannot be a sync member" (request_name op);
              op)
            (framed_groups "sync" (int_field "sync size" n) rest))
-  | "fenced" :: fence :: rest ->
-      Fenced { fence = int_field "fence" fence; op = decode_request rest }
   | op :: _ -> fail "unknown or malformed request %S" op
   | [] -> fail "empty request"
 
@@ -300,17 +296,23 @@ let rec decode_reply = function
 
 let decode bytes =
   match String.split_on_char ' ' (Bytes.to_string bytes) with
-  | "req" :: seq :: rest ->
-      Request { seq = int_field "seq" seq; request = decode_request rest }
+  | "req" :: seq :: fence :: rest ->
+      Request
+        {
+          seq = int_field "seq" seq;
+          fence = int_field "fence" fence;
+          request = decode_request rest;
+        }
   | "rep" :: seq :: rest -> Reply { seq = int_field "seq" seq; reply = decode_reply rest }
   | tag :: _ -> fail "unknown message tag %S" tag
   | [] -> fail "empty message"
 
 (* Decode targets move under the agent's own layer selection, so they stay
-   out; sorting makes the digest independent of registration order. *)
+   out; sorting makes the digest independent of registration order. The
+   op alone is hashed, never an envelope: state has no fence. *)
 let digest ops =
   let registrations =
     List.filter (function Set_pair_target _ -> false | _ -> true) ops
   in
-  Digest.bytes
-    (encode (Request { seq = 0; request = Sync (List.sort compare registrations) }))
+  Digest.string
+    (String.concat " " (encode_request (Sync (List.sort compare registrations))))

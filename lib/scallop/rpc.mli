@@ -2,10 +2,11 @@
     agent (tier 2) as a first-class message vocabulary (paper §5).
 
     Each constructor of {!request} mirrors one {!Switch_agent} session
-    operation; a request travels inside a sequence-numbered envelope
-    ({!message}) over a simulated control link (see {!Rpc_transport}),
-    so control-plane latency, loss and failure are visible to
-    experiments instead of being a counted-but-free function call. *)
+    operation; a request travels inside an envelope ({!message}) that
+    carries its sequence number and its sender's fencing epoch, over a
+    simulated control link (see {!Rpc_transport}), so control-plane
+    latency, loss and failure are visible to experiments instead of
+    being a counted-but-free function call. *)
 
 type request =
   | New_meeting of { meeting : int }
@@ -68,13 +69,6 @@ type request =
           same [Sync] twice changes nothing. Members must satisfy
           {!state_op}; the codec rejects anything else. Answered with
           {!Ack}, or {!Error} if a member cannot be applied. *)
-  | Fenced of { fence : int; op : request }
-      (** [op] carried under a fencing epoch: the agent executes it only
-          if [fence] is at least the highest fence it has ever observed,
-          and answers {!Stale_fence} otherwise — how a deposed primary's
-          in-flight or retransmitted ops are kept from double-executing
-          after a failover (split-brain prevention, paper-adjacent
-          carrier-grade control-plane requirement) *)
 
 type reply =
   | Ack  (** a session mutation or [Sync] succeeded *)
@@ -89,12 +83,18 @@ type reply =
           failed op contributes its [Error] in place while later ops
           still execute (partial failure is per-op, never all-or-nothing) *)
   | Stale_fence of { fence : int }
-      (** the agent refused a {!Fenced} request because it has already
-          seen a higher fence ([fence] is the agent's current one); the
-          sender is deposed and must stop acting as primary *)
+      (** the agent refused a request because its envelope carries a
+          fence below the highest one the agent has seen ([fence] is the
+          agent's current one); the sender is deposed and must stop
+          acting as primary *)
 
 type message =
-  | Request of { seq : int; request : request }
+  | Request of { seq : int; fence : int; request : request }
+      (** every request travels under its sender's fencing epoch: the
+          agent executes it only if [fence] is at least the highest
+          fence it has ever observed, and answers {!Stale_fence}
+          otherwise — how a deposed primary's in-flight or retransmitted
+          ops are kept from double-executing after a failover *)
   | Reply of { seq : int; reply : reply }
       (** a reply echoes its request's [seq]; retransmitted requests
           reuse their original [seq], which is what lets the agent
@@ -110,8 +110,8 @@ val state_op : request -> bool
     [New_meeting], the three [Register_*] and [Set_pair_target]. *)
 
 val digest : request list -> Digest.t
-(** The digest a [Pong] carries: MD5 over the {!encode}d, sorted list of
-    the registration ops (meetings, members, uplinks, legs with their
+(** The digest a [Pong] carries: MD5 over the encoded (envelope-free,
+    so fence-free), sorted list of the registration ops (meetings, members, uplinks, legs with their
     [dst]). [Set_pair_target]s are left out, because the agent's own
     layer selection moves decode targets. The agent hashes the ops that
     would rebuild its shadow and the controller the [Sync] it would

@@ -72,7 +72,7 @@ module Server = struct
 
   type t = {
     engine : Engine.t;
-    handler : Rpc.request -> Rpc.reply;
+    handler : fence:int -> Rpc.request -> Rpc.reply;
     on_receive : unit -> unit;
     label : string;  (** agent identity stamped on [rpc_exec] trace events *)
     seen : (Addr.t * int, Rpc.reply) Hashtbl.t;
@@ -152,7 +152,7 @@ module Server = struct
     match Rpc.decode dgram.payload with
     | exception Rpc.Decode_error _ -> t.decode_errors <- t.decode_errors + 1
     | Rpc.Reply _ -> t.decode_errors <- t.decode_errors + 1
-    | Rpc.Request { seq; request } ->
+    | Rpc.Request { seq; fence; request } ->
         t.requests_received <- t.requests_received + 1;
         t.on_receive ();
         let key = (dgram.src, seq) in
@@ -165,7 +165,7 @@ module Server = struct
               else cached
           | None ->
               let reply =
-                match t.handler request with
+                match t.handler ~fence request with
                 | r -> r
                 | exception Invalid_argument msg -> Rpc.Error msg
               in
@@ -175,36 +175,25 @@ module Server = struct
         in
         t.replies_sent <- t.replies_sent + 1;
         let payload = Rpc.encode (Rpc.Reply { seq; reply }) in
-        if Trace.enabled Trace.Rpc then begin
-          let fence_args =
-            match request with
-            | Rpc.Fenced { fence; _ } ->
-                [
-                  ("fence", Trace.I fence);
-                  (* a [Stale_fence] answer means the op was refused, not
-                     executed — the deposed-epoch rule keys on this *)
-                  ( "rejected",
-                    Trace.S
-                      (match reply with
-                      | Rpc.Stale_fence _ -> "true"
-                      | _ -> "false") );
-                ]
-            | _ -> []
-          in
+        if Trace.enabled Trace.Rpc then
           Trace.instant ~ts:(Engine.now t.engine) ~cat:"rpc" "rpc_exec"
             ~args:
-              ([
-                 ("name", Trace.S (Rpc.request_name request));
-                 ("seq", Trace.I seq);
-                 ("replayed", Trace.S (if replayed then "true" else "false"));
-                 ("src", Trace.S (Addr.to_string dgram.src));
-                 ("agent", Trace.S t.label);
-                 (* digest of the encoded reply: the replay-identity rule
-                    compares a replay's digest against the original's *)
-                 ("digest", Trace.I (Hashtbl.hash payload));
-               ]
-              @ fence_args)
-        end;
+              [
+                ("name", Trace.S (Rpc.request_name request));
+                ("seq", Trace.I seq);
+                ("replayed", Trace.S (if replayed then "true" else "false"));
+                ("src", Trace.S (Addr.to_string dgram.src));
+                ("agent", Trace.S t.label);
+                (* digest of the encoded reply: the replay-identity rule
+                   compares a replay's digest against the original's *)
+                ("digest", Trace.I (Hashtbl.hash payload));
+                ("fence", Trace.I fence);
+                (* a [Stale_fence] answer means the op was refused, not
+                   executed — the deposed-epoch rule keys on this *)
+                ( "rejected",
+                  Trace.S
+                    (match reply with Rpc.Stale_fence _ -> "true" | _ -> "false") );
+              ];
         transmit t ~reply_via ~seq ~reply (Dgram.v ~src:dgram.dst ~dst:dgram.src payload)
 
   let stats t =
@@ -237,6 +226,7 @@ module Client = struct
      this same record with different retry/window parameters. *)
   type pend = {
     p_seq : int;
+    p_fence : int;  (** stamped at submission; every retry reuses it *)
     p_request : Rpc.request;
     p_max_retries : int;
     p_timeout_ns : int;  (** first attempt's timeout *)
@@ -259,6 +249,7 @@ module Client = struct
     mutable in_flight : int;  (** window-occupying submissions on the wire *)
     mutable request_fault : (seq:int -> attempt:int -> Rpc.request -> fault) option;
     mutable next_seq : int;
+    mutable fence : int;  (** fencing epoch stamped on each new submission *)
     mutable muted : bool;
         (** a killed controller transmits nothing — not even retransmits
             of in-flight requests or probes; its pending calls just time
@@ -353,7 +344,9 @@ module Client = struct
      timer. Retries reuse the seq — the agent's replay cache depends on
      it — with exponentially backed-off timeouts. *)
   and send_attempt t p ~attempt =
-    let payload = Rpc.encode (Rpc.Request { seq = p.p_seq; request = p.p_request }) in
+    let payload =
+      Rpc.encode (Rpc.Request { seq = p.p_seq; fence = p.p_fence; request = p.p_request })
+    in
     transmit t ~seq:p.p_seq ~attempt p.p_request
       (Dgram.v ~src:t.local ~dst:t.remote payload);
     Engine.schedule t.engine
@@ -408,6 +401,7 @@ module Client = struct
         in_flight = 0;
         request_fault = None;
         next_seq = 0;
+        fence = 0;
         muted = false;
         calls = counter "RPC calls issued" "scallop_rpc_calls";
         wire_requests =
@@ -438,6 +432,7 @@ module Client = struct
     t
 
   let set_request_fault t f = t.request_fault <- f
+  let set_fence t f = t.fence <- f
   let set_muted t m = t.muted <- m
   let muted t = t.muted
 
@@ -465,6 +460,7 @@ module Client = struct
     let p =
       {
         p_seq = seq;
+        p_fence = t.fence;
         p_request = request;
         p_max_retries = Option.value max_retries ~default:t.cfg.max_retries;
         p_timeout_ns = Option.value timeout_ns ~default:t.cfg.timeout_ns;

@@ -63,16 +63,19 @@ module Server : sig
     Netsim.Engine.t ->
     ?on_receive:(unit -> unit) ->
     ?label:string ->
-    handler:(Rpc.request -> Rpc.reply) ->
+    handler:(fence:int -> Rpc.request -> Rpc.reply) ->
     unit ->
     t
-  (** [handler] executes a request against agent state; an
-      [Invalid_argument] it raises is shipped back as [Rpc.Error].
+  (** [handler] executes a request against agent state, given the fence
+      its envelope carried; an [Invalid_argument] it raises is shipped
+      back as [Rpc.Error].
       [on_receive] fires once per request datagram delivered on the
       wire (duplicates included) — how the agent counts real control
       messages. [label] (default ["agent"]) identifies this server on
       its [rpc_exec] trace events, correlating them with controller-side
-      health events about the same switch. *)
+      health events about the same switch. Each [rpc_exec] event
+      carries the request's [fence] and whether the reply was a
+      [Stale_fence] rejection. *)
 
   val deliver : t -> reply_via:(Netsim.Dgram.t -> unit) -> Netsim.Dgram.t -> unit
   (** Wire-side entry point (the control channel's sink). *)
@@ -181,6 +184,10 @@ module Client : sig
 
   val set_request_fault :
     t -> (seq:int -> attempt:int -> Rpc.request -> fault) option -> unit
+
+  val set_fence : t -> int -> unit
+  (** The fencing epoch stamped on every request submitted from now on
+      (0 until set). A submission keeps its stamp across retries. *)
 
   val set_muted : t -> bool -> unit
   (** [set_muted t true] silences the client entirely: nothing reaches

@@ -64,10 +64,10 @@ type t = {
   mutable alive : bool;
   mutable epoch : int;  (** bumped on every restart; carried in Pong *)
   mutable fence : int;
-      (** highest fencing epoch observed on any {!Rpc.Fenced} request;
+      (** highest fencing epoch observed on any request envelope;
           requests under a lower fence answer [Stale_fence]. Lost on
           restart like all agent memory — the acting controller's next
-          fenced request re-installs it. *)
+          request re-installs it. *)
   rpc_calls : Scallop_obs.Metrics.counter;
   mutable cpu_packets : int;
   mutable cpu_bytes : int;
@@ -691,12 +691,17 @@ and dispatch t (req : Rpc.request) : Rpc.reply =
   | Rpc.Sync ops ->
       sync t ops;
       Rpc.Ack
-  | Rpc.Fenced { fence; op } ->
-      if fence >= t.fence || Mutation.on Mutation.Skip_fencing_check then begin
-        if fence > t.fence then t.fence <- fence;
-        dispatch t op
-      end
-      else Rpc.Stale_fence { fence = t.fence }
+
+(* The one fence check, ahead of [dispatch]: a request whose envelope
+   carries at least the highest fence seen executes (and raises the
+   mark); anything older is refused, so a deposed primary's in-flight or
+   retransmitted op cannot execute here. *)
+let fenced t ~fence req =
+  if fence >= t.fence || Mutation.on Mutation.Skip_fencing_check then begin
+    if fence > t.fence then t.fence <- fence;
+    dispatch t req
+  end
+  else Rpc.Stale_fence { fence = t.fence }
 
 let create engine dp ?(rewrite = Seq_rewrite.S_LM) ?(select = default_select)
     ?(migration_enabled = true) ?(rewriting_enabled = true) ?(feedback_filter = true) () =
@@ -737,7 +742,7 @@ let create engine dp ?(rewrite = Seq_rewrite.S_LM) ?(select = default_select)
       (Rpc_transport.Server.create engine
          ~on_receive:(fun () -> Scallop_obs.Metrics.incr t.rpc_calls)
          ~label:(Dataplane.obs_label dp)
-         ~handler:(fun req -> dispatch t req)
+         ~handler:(fenced t)
          ());
   t
 

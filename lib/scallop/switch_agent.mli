@@ -108,8 +108,9 @@ val set_pair_target :
 
 val dispatch : t -> Rpc.request -> Rpc.reply
 (** Execute one control-plane request against agent state. Normally
-    invoked by {!rpc_server} for each message off the wire; exposed for
-    tests that drive the agent without a transport. An [Rpc.Batch] runs
+    invoked by {!rpc_server} for each message off the wire, once the
+    envelope's fence has passed the agent's check (see {!fence});
+    exposed for tests that drive the agent without a transport. An [Rpc.Batch] runs
     its ops in list order and answers with an [Rpc.Batch_reply] holding
     one reply per op; a member that fails contributes an [Rpc.Error]
     slot while the remaining ops still execute. An [Rpc.Sync] is diffed
@@ -150,11 +151,12 @@ val alive : t -> bool
 val epoch : t -> int
 
 val fence : t -> int
-(** Highest fencing epoch seen on any [Rpc.Fenced] request (0 until one
-    arrives). Requests under a lower fence are answered [Stale_fence]
-    without executing — a deposed primary cannot double-execute here.
-    Reset to 0 by {!restart} (fence memory dies with the power); the
-    acting controller's next fenced request re-installs it. *)
+(** Highest fencing epoch carried by any request envelope the RPC server
+    delivered (0 until one arrives). Requests under a lower fence are
+    answered [Stale_fence] without executing — a deposed primary cannot
+    double-execute here. Reset to 0 by {!restart} (fence memory dies
+    with the power); the acting controller's next request re-installs
+    it. *)
 
 (** {1 Statistics} *)
 

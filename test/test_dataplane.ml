@@ -419,8 +419,9 @@ let suppress_short_circuits () =
   let s = Dp.fastpath_stats w.dp in
   Alcotest.(check int) "one replica suppressed" 1 (Dp.replicas_suppressed w.dp);
   Alcotest.(check int) "copies only for forwarded replicas" 2 s.Dp.fp_replica_copies;
+  let pool = Dp.pool_stats w.dp in
   Alcotest.(check int) "pool served only forwarded replicas" 2
-    (s.Dp.fp_pool_recycled + s.Dp.fp_pool_fresh)
+    (pool.Scallop_util.Bufpool.recycled + pool.Scallop_util.Bufpool.fresh)
 
 (* Every pooled replica must come back: once the engine drains, whoever
    terminated each datagram (the delivery handler returning, here) has

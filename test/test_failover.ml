@@ -403,6 +403,33 @@ let recovery_log_is_bounded () =
         (newest.C.re_recovered_ns > Engine.sec 15.0)
   | [] -> Alcotest.fail "empty recovery log")
 
+(* --- lone controller: a cluster of one survives its own crash ----------- *)
+
+let lone_controller_crash_rebuilds () =
+  let stack = Common.make_scallop ~seed:43 () in
+  let ctrl = stack.Common.controller in
+  let mid, _parts = Common.scallop_meeting stack ~participants:4 ~senders:2 () in
+  C.start_health ctrl;
+  run_to stack 1.5;
+  let members = C.meeting_participants ctrl mid in
+  let fingerprint = C.intent_fingerprint ctrl in
+  C.kill ctrl;
+  run_to stack 2.0;
+  C.restart ctrl;
+  Alcotest.(check bool) "restarted as a standby" true (C.role ctrl = C.Standby);
+  C.promote ctrl;
+  run_to stack 3.0;
+  C.stop_health ctrl;
+  Alcotest.(check bool) "acting again" true (C.role ctrl = C.Acting);
+  Alcotest.(check int) "fence past the first life's" 2 (C.fence ctrl);
+  Alcotest.(check (list int)) "participants are back" members
+    (C.meeting_participants ctrl mid);
+  Alcotest.(check string) "intent rebuilt from the journal" fingerprint
+    (C.intent_fingerprint ctrl);
+  Alcotest.(check bool) "agent digest equals intent digest" true
+    (Digest.equal (A.digest stack.agent) (C.intent_digest ctrl 0));
+  An.assert_clean ~what:"post lone-controller restart" ctrl
+
 (* --- cluster: kill the primary, the standby takes over ------------------- *)
 
 let cluster_failover_resumes_service () =
@@ -821,6 +848,8 @@ let () =
             cluster_failover_resumes_service;
           Alcotest.test_case "promote over in-sync agents keeps the data plane"
             `Quick promote_keeps_data_plane;
+          Alcotest.test_case "lone controller survives kill, restart, promote"
+            `Quick lone_controller_crash_rebuilds;
         ] );
       ( "equivalence",
         [

@@ -48,9 +48,11 @@ let all_requests =
   ]
 
 let codec_roundtrip () =
+  let fences = Random.State.make [| 53 |] in
   List.iteri
     (fun i request ->
-      let msg = Rpc.Request { seq = 100 + i; request } in
+      let fence = Random.State.int fences 1_000_000 in
+      let msg = Rpc.Request { seq = 100 + i; fence; request } in
       Alcotest.(check bool)
         (Rpc.request_name request) true
         (Rpc.decode (Rpc.encode msg) = msg))
@@ -76,18 +78,20 @@ let codec_rejects_garbage () =
     [
       "";
       "nonsense";
-      "req x new-meeting 0";
-      "req 1 new-meeting";
+      "req x 1 new-meeting 0";
+      "req 1 1 new-meeting";
+      (* every request envelope carries an integer fence *)
+      "req 1 new-meeting 0";
+      "req 1 x new-meeting 0";
       "rep 1 bogus";
       (* decode targets outside the DT range, bare and inside a batch *)
-      "req 1 set-pair-target 0 1 2 7";
-      "req 1 set-pair-target 0 1 2 -1";
-      "req 1 batch 1 5 set-pair-target 0 1 2 7";
-      (* a sync lists state only: no nested sync, batch, fenced or ping *)
-      "req 1 sync 1 2 sync 0";
-      "req 1 sync 1 2 batch 0";
-      "req 1 sync 1 4 fenced 1 new-meeting 0";
-      "req 1 sync 1 1 ping";
+      "req 1 1 set-pair-target 0 1 2 7";
+      "req 1 1 set-pair-target 0 1 2 -1";
+      "req 1 1 batch 1 5 set-pair-target 0 1 2 7";
+      (* a sync lists state only: no nested sync, batch or ping *)
+      "req 1 1 sync 1 2 sync 0";
+      "req 1 1 sync 1 2 batch 0";
+      "req 1 1 sync 1 1 ping";
       "rep 1 pong 0 nothex";
     ]
 
@@ -99,7 +103,7 @@ let harness ?(config = T.default) ?on_request () =
   let executed = ref 0 in
   let server =
     T.Server.create engine
-      ~handler:(fun req ->
+      ~handler:(fun ~fence:_ req ->
         incr executed;
         Option.iter (fun f -> f req) on_request;
         Rpc.Ack)
@@ -283,6 +287,47 @@ let batched_first_join_is_one_request () =
   Alcotest.(check int) "member installed" 1
     (List.length (Scallop.Switch_agent.meeting_members agent (C.agent_meeting_id controller mid)))
 
+(* The agent's one fence check: once it has accepted fence f, a request
+   fenced below f is refused without executing, whatever its shape. The
+   mark dies with the agent, so after a reboot the lower fence is
+   accepted again. *)
+let agent_refuses_stale_fences () =
+  let engine, _, rng, agent, _ = make_stack ~seed:18 () in
+  let client =
+    T.Client.connect engine rng
+      ~local:(Addr.v (Addr.ip_of_string "10.255.0.9") 6633)
+      ~remote:(Addr.v (Addr.ip_of_string "10.0.0.1") 6633)
+      (Scallop.Switch_agent.rpc_server agent)
+  in
+  let reg participant =
+    Rpc.Register_participant { meeting = 1; participant; egress_port = 140; sends = false }
+  in
+  T.Client.set_fence client 5;
+  Alcotest.(check bool) "accepted at fence 5" true
+    (T.Client.call client (Rpc.Batch [ Rpc.New_meeting { meeting = 1 }; reg 1 ])
+    = Ok (Rpc.Batch_reply [ Rpc.Ack; Rpc.Ack ]));
+  Alcotest.(check int) "high-water mark raised" 5 (Scallop.Switch_agent.fence agent);
+  let digest = Scallop.Switch_agent.digest agent in
+  T.Client.set_fence client 4;
+  List.iter
+    (fun request ->
+      Alcotest.(check bool)
+        (Rpc.request_name request ^ " refused") true
+        (T.Client.call client request = Ok (Rpc.Stale_fence { fence = 5 }));
+      Alcotest.(check bool)
+        (Rpc.request_name request ^ " left the agent alone") true
+        (Digest.equal digest (Scallop.Switch_agent.digest agent)))
+    [
+      Rpc.New_meeting { meeting = 2 };
+      Rpc.Batch [ Rpc.New_meeting { meeting = 3 }; reg 2 ];
+      Rpc.Sync [];
+    ];
+  Alcotest.(check int) "mark unchanged" 5 (Scallop.Switch_agent.fence agent);
+  Scallop.Switch_agent.restart agent;
+  Alcotest.(check bool) "lower fence accepted after reboot" true
+    (T.Client.call client (Rpc.New_meeting { meeting = 2 }) = Ok Rpc.Ack);
+  Alcotest.(check int) "mark re-installed" 4 (Scallop.Switch_agent.fence agent)
+
 (* --- QCheck: the whole vocabulary round-trips, batches included ------------ *)
 
 let gen_target =
@@ -378,11 +423,11 @@ let gen_reply =
 let request_roundtrip_prop =
   QCheck.Test.make ~count:500 ~name:"request roundtrip (incl. nested batches)"
     (QCheck.make
-       ~print:(fun request ->
-         Bytes.to_string (Rpc.encode (Rpc.Request { seq = 1; request })))
-       gen_request)
-    (fun request ->
-      let msg = Rpc.Request { seq = 1; request } in
+       ~print:(fun (fence, request) ->
+         Bytes.to_string (Rpc.encode (Rpc.Request { seq = 1; fence; request })))
+       QCheck.Gen.(pair (int_bound 1_000_000) gen_request))
+    (fun (fence, request) ->
+      let msg = Rpc.Request { seq = 1; fence; request } in
       Rpc.decode (Rpc.encode msg) = msg)
 
 let reply_roundtrip_prop =
@@ -532,6 +577,8 @@ let () =
             batched_churn_matches_per_op;
           Alcotest.test_case "agent rejects bad meeting ids" `Quick
             agent_rejects_bad_meeting_ids;
+          Alcotest.test_case "agent refuses stale fences" `Quick
+            agent_refuses_stale_fences;
         ] );
       ( "controller",
         [
