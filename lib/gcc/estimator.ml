@@ -1,8 +1,22 @@
 type detector_state = Underuse | Normal | Overuse
 type rate_state = Increase | Hold | Decrease
 
-(* One inter-group delay-gradient sample. *)
-type sample = { at_ms : float; accumulated_delay_ms : float }
+(* Per-packet state, allocated by the first packet. The receive-rate
+   window is a FIFO ring of arrival times (ns) and sizes, oldest at
+   [head], [len] entries summing to [bytes]; its capacity is a power of
+   two, doubled when full. The trendline keeps its last [trend_window]
+   samples in a fixed ring, oldest at [oldest]. *)
+type rings = {
+  mutable ts : int array;
+  mutable sizes : int array;
+  mutable head : int;
+  mutable len : int;
+  mutable bytes : int;
+  at_ms : float array;
+  delay_ms : float array;
+  mutable oldest : int;
+  mutable count : int;
+}
 
 type t = {
   min_bps : int;
@@ -11,13 +25,10 @@ type t = {
   (* grouping: packets sharing an RTP timestamp form a group (a frame) *)
   mutable group_ts : int;  (** RTP timestamp of the current group *)
   mutable group_first_arrival : int;
-  mutable group_last_arrival : int;
   mutable prev_group_ts : int;
   mutable prev_group_arrival : int;
   mutable have_prev_group : bool;
-  mutable started : bool;
   (* trendline *)
-  mutable samples : sample list;  (** newest first, bounded *)
   mutable accumulated_delay_ms : float;
   mutable first_arrival_ms : float;
   (* adaptive threshold detector *)
@@ -28,8 +39,8 @@ type t = {
   (* AIMD *)
   mutable rate : rate_state;
   mutable last_increase_ms : float;
-  (* receive-rate window: (time_ns, size) newest first *)
-  mutable window : (int * int) list;
+  (* receive-rate window and trendline rings; allocated by the first packet *)
+  mutable rings : rings option;
   (* REMB scheduling *)
   mutable last_remb_ms : float;
   mutable last_remb_value : int;
@@ -49,12 +60,9 @@ let create ?(initial_bps = 3_000_000) ?(min_bps = 50_000) ?(max_bps = 20_000_000
     estimate_bps = initial_bps;
     group_ts = 0;
     group_first_arrival = 0;
-    group_last_arrival = 0;
     prev_group_ts = 0;
     prev_group_arrival = 0;
     have_prev_group = false;
-    started = false;
-    samples = [];
     accumulated_delay_ms = 0.0;
     first_arrival_ms = 0.0;
     threshold_ms = 12.5;
@@ -63,7 +71,7 @@ let create ?(initial_bps = 3_000_000) ?(min_bps = 50_000) ?(max_bps = 20_000_000
     last_update_ms = 0.0;
     rate = Increase;
     last_increase_ms = 0.0;
-    window = [];
+    rings = None;
     last_remb_ms = neg_infinity;
     last_remb_value = initial_bps;
   }
@@ -72,36 +80,90 @@ let create ?(initial_bps = 3_000_000) ?(min_bps = 50_000) ?(max_bps = 20_000_000
 
 let rate_window_ns = 500_000_000
 
-let push_window t ~time_ns ~size =
-  t.window <- (time_ns, size) :: t.window;
+let window_initial_capacity = 16
+
+(* Copy the ring, oldest first, into arrays of twice the capacity. *)
+let grow_window w =
+  let cap = Array.length w.ts in
+  let ts = Array.make (2 * cap) 0 and sizes = Array.make (2 * cap) 0 in
+  for i = 0 to w.len - 1 do
+    let j = (w.head + i) land (cap - 1) in
+    ts.(i) <- w.ts.(j);
+    sizes.(i) <- w.sizes.(j)
+  done;
+  w.ts <- ts;
+  w.sizes <- sizes;
+  w.head <- 0
+
+(* Arrivals are nondecreasing, so the entries older than a cutoff are
+   always a prefix of the ring. *)
+let push_window w ~time_ns ~size =
+  if w.len = Array.length w.ts then grow_window w;
+  let mask = Array.length w.ts - 1 in
+  let tail = (w.head + w.len) land mask in
+  w.ts.(tail) <- time_ns;
+  w.sizes.(tail) <- size;
+  w.len <- w.len + 1;
+  w.bytes <- w.bytes + size;
   let cutoff = time_ns - rate_window_ns in
-  t.window <- List.filter (fun (ts, _) -> ts >= cutoff) t.window
+  while w.ts.(w.head) < cutoff do
+    w.bytes <- w.bytes - w.sizes.(w.head);
+    w.head <- (w.head + 1) land mask;
+    w.len <- w.len - 1
+  done
+
+let window_bytes w ~time_ns =
+  let cutoff = time_ns - rate_window_ns in
+  let mask = Array.length w.ts - 1 in
+  let bytes = ref w.bytes and i = ref 0 in
+  while !i < w.len && w.ts.((w.head + !i) land mask) < cutoff do
+    bytes := !bytes - w.sizes.((w.head + !i) land mask);
+    incr i
+  done;
+  !bytes
 
 let receive_rate_bps t ~time_ns =
-  let cutoff = time_ns - rate_window_ns in
-  let bytes =
-    List.fold_left (fun acc (ts, size) -> if ts >= cutoff then acc + size else acc) 0 t.window
-  in
+  let bytes = match t.rings with Some w -> window_bytes w ~time_ns | None -> 0 in
   float_of_int (bytes * 8) /. (float_of_int rate_window_ns /. 1e9)
 
 (* --- trendline slope ------------------------------------------------------
 
    Least-squares slope of accumulated delay vs time over the sample window,
-   matching libwebrtc's TrendlineEstimator. *)
-let trend_slope samples =
-  let n = List.length samples in
+   matching libwebrtc's TrendlineEstimator. Walks the ring oldest to
+   newest; each sum accumulates in that order, so the result is the same
+   double a left fold over the oldest-first sample list gives. *)
+let trend_index tr k =
+  let j = tr.oldest + k in
+  if j >= trend_window then j - trend_window else j
+
+let trend_slope tr =
+  let n = tr.count in
   if n < 7 then 0.0
   else begin
-    let xs = List.map (fun (s : sample) -> s.at_ms) samples in
-    let ys = List.map (fun (s : sample) -> s.accumulated_delay_ms) samples in
-    let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int n in
-    let mx = mean xs and my = mean ys in
-    let num =
-      List.fold_left2 (fun acc x y -> acc +. ((x -. mx) *. (y -. my))) 0.0 xs ys
-    in
-    let den = List.fold_left (fun acc x -> acc +. ((x -. mx) ** 2.0)) 0.0 xs in
-    if den = 0.0 then 0.0 else num /. den
+    let sx = ref 0.0 and sy = ref 0.0 in
+    for k = 0 to n - 1 do
+      let j = trend_index tr k in
+      sx := !sx +. tr.at_ms.(j);
+      sy := !sy +. tr.delay_ms.(j)
+    done;
+    let mx = !sx /. float_of_int n and my = !sy /. float_of_int n in
+    let num = ref 0.0 and den = ref 0.0 in
+    for k = 0 to n - 1 do
+      let j = trend_index tr k in
+      let x = tr.at_ms.(j) in
+      num := !num +. ((x -. mx) *. (tr.delay_ms.(j) -. my));
+      den := !den +. ((x -. mx) ** 2.0)
+    done;
+    if !den = 0.0 then 0.0 else !num /. !den
   end
+
+(* Append a sample, overwriting the oldest once the ring is full. *)
+let push_sample tr ~at_ms ~delay_ms =
+  let j = trend_index tr tr.count in
+  tr.at_ms.(j) <- at_ms;
+  tr.delay_ms.(j) <- delay_ms;
+  if tr.count < trend_window then tr.count <- tr.count + 1
+  else tr.oldest <- (if tr.oldest = trend_window - 1 then 0 else tr.oldest + 1)
 
 (* --- adaptive threshold (libwebrtc k_up/k_down) -------------------------- *)
 
@@ -120,9 +182,9 @@ let update_threshold t ~modified_trend ~now_ms =
 
 let overuse_time_threshold_ms = 10.0
 
-let detect t ~trend ~now_ms ~group_delta_ms =
+let detect t ~trend ~samples ~now_ms ~group_delta_ms =
   (* scale trend the way libwebrtc does: by number of deltas and a gain *)
-  let modified = trend *. Float.min (float_of_int (List.length t.samples)) 60.0 *. 4.0 in
+  let modified = trend *. Float.min (float_of_int samples) 60.0 *. 4.0 in
   let state =
     if modified > t.threshold_ms then begin
       if t.overuse_since = 0.0 then t.overuse_since <- now_ms -. group_delta_ms;
@@ -181,7 +243,7 @@ let aimd t ~time_ns =
 (* Inter-group deltas use the *first* arrival of each group: frames are
    paced onto the wire, so last-packet times vary with frame size even on
    an idle path, while first-packet times track queueing delay only. *)
-let complete_group t ~time_ns =
+let complete_group t tr ~time_ns =
   if t.have_prev_group then begin
     let arrival_delta_ms =
       float_of_int (t.group_first_arrival - t.prev_group_arrival) /. 1e6
@@ -191,16 +253,10 @@ let complete_group t ~time_ns =
     in
     let gradient = arrival_delta_ms -. departure_delta_ms in
     let now_ms = float_of_int time_ns /. 1e6 in
-    if t.samples = [] then t.first_arrival_ms <- now_ms;
+    if tr.count = 0 then t.first_arrival_ms <- now_ms;
     t.accumulated_delay_ms <- t.accumulated_delay_ms +. gradient;
-    let sample =
-      { at_ms = now_ms -. t.first_arrival_ms; accumulated_delay_ms = t.accumulated_delay_ms }
-    in
-    t.samples <- sample :: t.samples;
-    if List.length t.samples > trend_window then
-      t.samples <- List.filteri (fun i _ -> i < trend_window) t.samples;
-    let trend = trend_slope (List.rev t.samples) in
-    detect t ~trend ~now_ms ~group_delta_ms:arrival_delta_ms;
+    push_sample tr ~at_ms:(now_ms -. t.first_arrival_ms) ~delay_ms:t.accumulated_delay_ms;
+    detect t ~trend:(trend_slope tr) ~samples:tr.count ~now_ms ~group_delta_ms:arrival_delta_ms;
     aimd t ~time_ns
   end;
   t.prev_group_ts <- t.group_ts;
@@ -208,25 +264,37 @@ let complete_group t ~time_ns =
   t.have_prev_group <- true
 
 let on_packet t ~time_ns ~rtp_ts ~size =
-  push_window t ~time_ns ~size;
-  if not t.started then begin
-    t.started <- true;
-    t.group_ts <- rtp_ts;
-    t.group_first_arrival <- time_ns;
-    t.group_last_arrival <- time_ns
-  end
-  else if rtp_ts = t.group_ts then t.group_last_arrival <- time_ns
-  else if rtp_ts < t.group_ts then
-    (* a retransmission or reordered packet of an older frame: it still
-       counts toward the receive rate, but would corrupt the inter-group
-       delay filter (libwebrtc likewise discards old groups) *)
-    ()
-  else begin
-    complete_group t ~time_ns;
-    t.group_ts <- rtp_ts;
-    t.group_first_arrival <- time_ns;
-    t.group_last_arrival <- time_ns
-  end
+  match t.rings with
+  | None ->
+      (* the first packet allocates the rings and opens the first group *)
+      let r =
+        {
+          ts = Array.make window_initial_capacity 0;
+          sizes = Array.make window_initial_capacity 0;
+          head = 0;
+          len = 0;
+          bytes = 0;
+          at_ms = Array.make trend_window 0.0;
+          delay_ms = Array.make trend_window 0.0;
+          oldest = 0;
+          count = 0;
+        }
+      in
+      t.rings <- Some r;
+      push_window r ~time_ns ~size;
+      t.group_ts <- rtp_ts;
+      t.group_first_arrival <- time_ns
+  | Some r ->
+      push_window r ~time_ns ~size;
+      (* a later packet of the current group, or a retransmission or
+         reordered packet of an older frame, counts toward the receive
+         rate only: an old group would corrupt the inter-group delay
+         filter (libwebrtc likewise discards old groups) *)
+      if rtp_ts > t.group_ts then begin
+        complete_group t r ~time_ns;
+        t.group_ts <- rtp_ts;
+        t.group_first_arrival <- time_ns
+      end
 
 let estimate_bps t = t.estimate_bps
 let detector_state t = t.detector

@@ -25,17 +25,24 @@ type rate_state = Increase | Hold | Decrease
 
 val create :
   ?initial_bps:int -> ?min_bps:int -> ?max_bps:int -> unit -> t
-(** Defaults: initial 300 kb/s, min 50 kb/s, max 20 Mb/s. *)
+(** Defaults: initial 3 Mb/s, min 50 kb/s, max 20 Mb/s. An estimator that
+    has received nothing holds no rings; they are allocated by the first
+    packet. *)
 
 val on_packet : t -> time_ns:int -> rtp_ts:int -> size:int -> unit
-(** Feed every received media packet; [rtp_ts] in 90 kHz ticks. *)
+(** Feed every received media packet; [rtp_ts] in 90 kHz ticks, [time_ns]
+    nondecreasing. O(1) amortized: the 500 ms rate window is a ring that
+    grows by doubling until it holds a window's worth of packets, and the
+    trendline is a fixed 20-sample ring. Once grown, a packet allocates
+    nothing; completing a frame boxes a few floats. *)
 
 val estimate_bps : t -> int
 val detector_state : t -> detector_state
 val rate_state : t -> rate_state
 
 val receive_rate_bps : t -> time_ns:int -> float
-(** Incoming rate measured over the last 500 ms. *)
+(** Incoming rate measured over the 500 ms up to [time_ns]. A query does
+    not modify the window. *)
 
 val poll_remb : t -> time_ns:int -> int option
 (** Returns the estimate when a REMB should be emitted now: every 440 ms

@@ -1,5 +1,4 @@
 module Addr = Scallop_util.Addr
-module Stats = Scallop_util.Stats
 module Metrics = Scallop_obs.Metrics
 module Trace = Scallop_obs.Trace
 module Engine = Netsim.Engine
@@ -161,9 +160,6 @@ type t = {
   pre : Tofino.Pre.t;
   trees : Trees.t;
   pipeline_latency_ns : int;
-  pipeline_latency_f : float;
-      (** [float_of_int pipeline_latency_ns], preboxed: the per-replica
-          latency sample must not box a float per emit *)
   header_auth : bool;
   mutable headers_authenticated : int;
   uplinks : (int, uplink_slot) Tofino.Table.t;  (** dst port -> uplink *)
@@ -189,7 +185,6 @@ type t = {
   replica_copies : Metrics.counter;
   paranoid_checks : Metrics.counter;
   paranoid_mismatches : Metrics.counter;
-  forward_delay : Stats.Samples.t;
   parser_stats : Tofino.Parser.t;
   mutable egress_hook : receiver:int -> ssrc:int -> template:int option -> size:int -> unit;
   (* allocation-free fast-path scaffolding *)
@@ -229,7 +224,6 @@ let create engine network ~ip ?(header_auth = false) ?(mode = Fast) ?(obs_label 
       pre;
       trees = Trees.create pre;
       pipeline_latency_ns;
-      pipeline_latency_f = float_of_int pipeline_latency_ns;
       header_auth;
       headers_authenticated = 0;
       uplinks = Tofino.Table.create ~name:"uplink" ~capacity:uplink_table_capacity;
@@ -265,7 +259,6 @@ let create engine network ~ip ?(header_auth = false) ?(mode = Fast) ?(obs_label 
       paranoid_mismatches =
         Metrics.counter ~labels ~help:"paranoid byte comparisons that failed"
           "scallop_dp_paranoid_mismatches";
-      forward_delay = Stats.Samples.create ();
       parser_stats = Tofino.Parser.create ();
       egress_hook = (fun ~receiver:_ ~ssrc:_ ~template:_ ~size:_ -> ());
       pool;
@@ -367,7 +360,6 @@ let emit t ~batch ~pool ~trace ~receiver ~ssrc ~template ~src_port ~dst payload 
   t.egress_pkts <- t.egress_pkts + 1;
   t.egress_bytes <- t.egress_bytes + size;
   t.egress_hook ~receiver ~ssrc ~template ~size;
-  Stats.Samples.observe t.forward_delay t.pipeline_latency_f;
   batch_add batch (Dgram.v ~trace ?pool ~src:(Addr.v t.ip src_port) ~dst payload)
 
 let flush_egress t ~ingress_ns batch =
@@ -996,7 +988,6 @@ let cpu_bytes t = t.cpu_bytes
 let egress_pkts t = t.egress_pkts
 let egress_bytes t = t.egress_bytes
 let replicas_suppressed t = t.replicas_suppressed
-let forward_delay_samples t = t.forward_delay
 
 type fastpath_stats = {
   fp_fast_pkts : int;

@@ -178,7 +178,6 @@ val cpu_bytes : t -> int
 val egress_pkts : t -> int
 val egress_bytes : t -> int
 val replicas_suppressed : t -> int
-val forward_delay_samples : t -> Scallop_util.Stats.Samples.t
 
 type fastpath_stats = {
   fp_fast_pkts : int;  (** ingress media packets forwarded via copy-and-patch *)

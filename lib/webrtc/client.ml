@@ -183,13 +183,15 @@ let sender_report t conn =
     send_rtcp t conn (srs @ [ Rtp.Rtcp.Sdes [ (conn.video_ssrc, [ Rtp.Rtcp.Cname "scallop-client" ]) ] ])
 
 (* A connection that has sent nothing (a receive connection, or a sender
-   NACKed before its first frame) has no history yet and resends nothing. *)
-let retransmit t conn seqs =
+   NACKed before its first frame) has no history yet and resends nothing.
+   Audio and video share the history but not a sequence space, so a slot
+   is resent only if it holds the NACKed stream's packet. *)
+let retransmit t conn ~media_ssrc seqs =
   if Array.length conn.history > 0 then
     List.iter
       (fun seq ->
         match conn.history.(seq mod history_size) with
-        | Some pkt when pkt.Packet.sequence = seq ->
+        | Some pkt when pkt.Packet.sequence = seq && pkt.Packet.ssrc = media_ssrc ->
             conn.retransmissions <- conn.retransmissions + 1;
             transmit t conn (Packet.serialize pkt)
         | Some _ | None -> ())
@@ -381,13 +383,13 @@ let handle_rtcp t conn buf =
                 (fun src ->
                   Codec.Video_source.set_bitrate src (min bitrate_bps t.cfg.video_bitrate_bps))
                 conn.video_src
-          | Rtp.Rtcp.Nack { lost; _ } ->
+          | Rtp.Rtcp.Nack { media_ssrc; lost; _ } ->
               conn.nacks_received <- conn.nacks_received + 1;
               (* simulcast splicing invalidates retransmissions; recover by
                  refreshing the active rendition instead *)
               (match conn.simulcast_src with
               | Some src -> Codec.Simulcast_source.request_keyframe src ~rendition:0
-              | None -> retransmit t conn lost)
+              | None -> retransmit t conn ~media_ssrc lost)
           | Rtp.Rtcp.Pli { media_ssrc; _ } -> (
               Option.iter Codec.Video_source.request_keyframe conn.video_src;
               match conn.simulcast_src with

@@ -295,9 +295,47 @@ let prop_demux_never_confuses =
     (QCheck.make gen_packet)
     (fun p -> Demux.classify (Packet.serialize p) = Demux.Rtp_media)
 
+let gen_bytes len = QCheck.Gen.(map Bytes.of_string (string_size ~gen:char (return len)))
+
+(* one-byte-profile elements, and elements only the two-byte profile
+   can carry (id 15+, empty or longer than 16 bytes) *)
+let gen_element ~ids ~lens =
+  QCheck.Gen.(
+    pair ids (lens >>= gen_bytes) >|= fun (id, data) -> { Packet.id; data })
+
+let gen_any_extension =
+  QCheck.Gen.(
+    oneof [ gen_element ~ids:(1 -- 14) ~lens:(1 -- 16); gen_element ~ids:(1 -- 255) ~lens:(0 -- 255) ])
+
+let gen_full_packet =
+  QCheck.Gen.(
+    map
+      (fun ((marker, pt, seq, ts), (ssrc, csrcs, exts, payload)) ->
+        Packet.make ~marker ~csrcs ~extensions:exts ~payload_type:pt ~sequence:seq ~timestamp:ts
+          ~ssrc payload)
+      (pair
+         (quad bool gen_payload_type (0 -- 0xFFFF) (0 -- 0xFFFFFFFF))
+         (quad (0 -- 0xFFFFFFFF)
+            (list_size (0 -- 15) (0 -- 0xFFFFFFFF))
+            (list_size (0 -- 4) gen_any_extension)
+            (frequency [ (1, return Bytes.empty); (4, (0 -- 1400) >>= gen_bytes) ]))))
+
+let prop_full_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"serialize fills wire_size, round-trips (CSRCs, both profiles)"
+    (QCheck.make gen_full_packet)
+    (fun p ->
+      let buf = Packet.serialize p in
+      Bytes.length buf = Packet.wire_size p && Packet.equal p (Packet.parse buf))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_rtp_roundtrip; prop_nack_roundtrip; prop_seq_sub_inverse; prop_demux_never_confuses ]
+    [
+      prop_rtp_roundtrip;
+      prop_full_roundtrip;
+      prop_nack_roundtrip;
+      prop_seq_sub_inverse;
+      prop_demux_never_confuses;
+    ]
 
 let () =
   Alcotest.run "rtp"

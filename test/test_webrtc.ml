@@ -237,6 +237,37 @@ let nack_without_history () =
   Alcotest.(check int) "sender got the NACK" 1 (Client.nacks_received send);
   Alcotest.(check int) "sender resent nothing" 0 (Client.retransmissions send)
 
+(* Audio and video share the 1,024-slot history but have independent
+   sequence spaces: a NACK for video must not resend the audio packet
+   that happens to carry the NACKed sequence number. *)
+let nack_honours_media_ssrc () =
+  let engine, network, (a, a_send, _), _ = p2p_pair () in
+  let sent = ref [] in
+  Client.set_tx_hook a (fun ~time_ns:_ (d : Netsim.Dgram.t) ->
+      if d.Netsim.Dgram.src = Client.local_addr a_send then
+        match Rtp.Packet.parse d.Netsim.Dgram.payload with
+        | exception Rtp.Wire.Parse_error _ -> ()
+        | p -> sent := (p.Rtp.Packet.ssrc, p.Rtp.Packet.sequence) :: !sent);
+  Engine.run engine ~until:(Engine.sec 1.0);
+  (* the newest audio packet still owns its history slot *)
+  let audio_seq = snd (List.find (fun (ssrc, _) -> ssrc = 112) !sent) in
+  let resends ssrc = List.length (List.filter (( = ) (ssrc, audio_seq)) !sent) in
+  let nack media_ssrc =
+    Network.send network
+      (Netsim.Dgram.v ~src:(Client.remote_addr a_send) ~dst:(Client.local_addr a_send)
+         (Rtp.Rtcp.serialize_compound
+            [ Rtp.Rtcp.Nack { sender_ssrc = 0; media_ssrc; lost = [ audio_seq ] } ]))
+  in
+  let before = Client.retransmissions a_send in
+  nack 111;
+  Engine.run engine ~until:(Engine.sec 1.05);
+  Alcotest.(check int) "video NACK resent nothing" before (Client.retransmissions a_send);
+  Alcotest.(check int) "audio packet sent once" 1 (resends 112);
+  nack 112;
+  Engine.run engine ~until:(Engine.sec 1.1);
+  Alcotest.(check int) "audio NACK resent it" (before + 1) (Client.retransmissions a_send);
+  Alcotest.(check int) "audio packet sent twice" 2 (resends 112)
+
 let () =
   Alcotest.run "webrtc"
     [
@@ -257,5 +288,6 @@ let () =
           Alcotest.test_case "bye on close" `Quick bye_sent_on_close;
           Alcotest.test_case "idle connection footprint" `Quick idle_connection_footprint;
           Alcotest.test_case "nack without history" `Quick nack_without_history;
+          Alcotest.test_case "nack honours media ssrc" `Quick nack_honours_media_ssrc;
         ] );
     ]
